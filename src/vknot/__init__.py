@@ -38,6 +38,7 @@ from .gauss import (
 )
 from .invariants import (
     IndexPolynomial,
+    bound_from_p,
     chord_index,
     crossing_index,
     p_invariant,

@@ -7,12 +7,15 @@ Exit codes: 0 success, 1 strict-mode verification failure or I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+from typing import Iterable
 
 from .braid import BraidParseError, BraidWord, FamilySpec, parse_braid
 from .gauss import MultiComponentError, emit_gauss_code, gauss_from_closure
-from .invariants import p_invariant, poly_to_string, u_invariant, vu_lower_bound
+from .invariants import bound_from_p, p_invariant, poly_to_string, u_invariant
 from .search import (default_table_pairs, scan_torus_virtualizations,
                      summarize_scan, table_to_csv, table_vt2)
 from .unknotting import (NotAKnotError, unknotting_sequence, verify_row,
@@ -100,12 +103,14 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     if not selected:
         selected = ["p", "u", "bound", "gauss_code"]
     values: dict = {}
-    if "p" in selected:
-        values["p"] = p_invariant(diagram)
+    if "p" in selected or "bound" in selected:
+        p = p_invariant(diagram)
+        if "p" in selected:
+            values["p"] = p
+        if "bound" in selected:
+            values["bound"] = bound_from_p(p)
     if "u" in selected:
         values["u"] = u_invariant(diagram)
-    if "bound" in selected:
-        values["bound"] = vu_lower_bound(diagram)
     if "gauss_code" in selected:
         values["gauss_code"] = emit_gauss_code(diagram)
     if args.json:
@@ -146,12 +151,7 @@ def cmd_unknot_seq(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rows = table_vt2(default_table_pairs(args.max_p))
-    text = table_to_csv(rows)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.csv, table_to_csv(rows))
     return 0
 
 
@@ -165,13 +165,38 @@ def cmd_scan(args: argparse.Namespace) -> int:
         lines.append(json.dumps(record.to_json_dict(), sort_keys=True))
     lines.append(json.dumps({"summary": summary.to_json_dict()},
                             sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as handle:
+    _emit(args.jsonl, "\n".join(lines) + "\n")
+    return 0
+
+
+def _emit(path: str | None, text: str) -> None:
+    if not path:
+        sys.stdout.write(text)
+    elif os.path.exists(path) and not os.path.isfile(path):
+        # a device or a pipe cannot be swapped in by a rename
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
-    return 0
+        write_atomic(path, (text,))
+
+
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` so that it ends up complete or untouched.
+
+    The text goes to a temporary file beside ``path``, which then replaces
+    it in one rename; on any failure the temporary file is removed and an
+    existing ``path`` keeps its old bytes.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -55,13 +55,14 @@ class GaussDiagram:
         n = len(self.signs)
         if len(self.endpoints) != 2 * n:
             raise ValueError("endpoint sequence must list every chord twice")
-        seen: dict[int, set[Role]] = {}
+        has_over, has_under = [False] * n, [False] * n
         for chord, role in self.endpoints:
             if not 0 <= chord < n:
                 raise ValueError(f"chord id {chord} out of range for {n} chords")
-            if role in seen.setdefault(chord, set()):
+            seen = has_over if role is Role.OVER else has_under
+            if seen[chord]:
                 raise ValueError(f"chord {chord} repeats role {role.value}")
-            seen[chord].add(role)
+            seen[chord] = True
         if any(sign not in (1, -1) for sign in self.signs):
             raise ValueError("chord signs must be +1 or -1")
 
@@ -93,36 +94,35 @@ def gauss_from_closure(word: BraidWord) -> GaussDiagram:
     it passes under.  Virtual letters only transpose the walker.  Chords are
     numbered by the order of the classical letters in the word and carry the
     letter signs.
-    """
-    components = component_count(word)
-    if components != 1:
-        raise MultiComponentError(components)
 
-    chord_of: list[int | None] = []
+    One sweep over the letters records what each strand meets; the strands'
+    records are then spliced along the closure arcs.  A walk that is back at
+    strand position 1 before it has used every strand has traced one
+    component of a link.
+    """
+    visits: list[list[tuple[int, Role]]] = [[] for _ in range(word.strands)]
+    occupant = list(range(word.strands))  # strands, named by entry position
     signs: list[int] = []
     for letter in word.letters:
+        a = letter.index - 1
+        top, bottom = occupant[a], occupant[a + 1]
         if letter.is_classical:
-            chord_of.append(len(signs))
+            chord = len(signs)
             signs.append(letter.sign)
-        else:
-            chord_of.append(None)
-
-    endpoints: list[tuple[int, Role]] = []
-    position = 1
-    for _ in range(word.strands):
-        for letter, chord in zip(word.letters, chord_of):
-            if letter.index == position:
-                if chord is not None:
-                    endpoints.append(
-                        (chord, Role.OVER if letter.sign > 0 else Role.UNDER))
-                position += 1
-            elif letter.index + 1 == position:
-                if chord is not None:
-                    endpoints.append(
-                        (chord, Role.UNDER if letter.sign > 0 else Role.OVER))
-                position -= 1
-        # closure arc: re-enter on the left at the same position
-    assert position == 1, "knot traversal must close up at the basepoint"
+            top_over = letter.sign > 0
+            visits[top].append((chord, Role.OVER if top_over else Role.UNDER))
+            visits[bottom].append((chord, Role.UNDER if top_over else Role.OVER))
+        occupant[a], occupant[a + 1] = bottom, top
+    exit_of = [0] * word.strands
+    for position, strand in enumerate(occupant):
+        exit_of[strand] = position
+    endpoints = visits[0]
+    strand, used = exit_of[0], 1
+    while strand != 0:
+        endpoints.extend(visits[strand])
+        strand, used = exit_of[strand], used + 1
+    if used != word.strands:
+        raise MultiComponentError(component_count(word))
     return GaussDiagram(tuple(endpoints), tuple(signs))
 
 

@@ -8,19 +8,26 @@ chord by the net crossing direction of the chords over it; it is unchanged
 by crossing changes, so any nonzero value certifies that no amount of
 crossing changing can reach the unknot.
 
-Both index computations split the circle at a chord and classify the linked
-chords by which open arc their endpoints fall on; everything is cyclic, so
-basepoint choices never matter.  The orientation convention that decides
-which crossing direction counts as positive for ``u`` fixes only a global
-sign; ``negate=True`` selects the mirror convention.
+Both indices are arc sums.  Give every endpoint a weight: +sign at an over
+endpoint, -sign at an under endpoint (on the normalized diagram for ``u``,
+so +1 and -1).  A chord with both endpoints strictly inside chord c's open
+arc from its over to its under endpoint adds +w and -w, and one with
+neither adds nothing, so c's index is just the weight sum inside that arc.
+The weights around the whole circle sum to zero, so one prefix-sum pass
+gives every chord's index in linear time, whether or not its arc wraps past
+the basepoint; everything is cyclic, so basepoint choices never matter.
+The orientation convention that decides which crossing direction counts as
+positive for ``u`` fixes only a global sign; ``negate=True`` selects the
+mirror convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import accumulate
+from typing import Iterable, Mapping
 
-from .gauss import GaussDiagram, normalize_positive
+from .gauss import GaussDiagram, Role, normalize_positive
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,31 @@ def poly_to_string(poly: IndexPolynomial) -> str:
     return " ".join(parts)
 
 
+def _arc_sums(diagram: GaussDiagram) -> list[int]:
+    """Every chord's endpoint weight sum strictly inside its over -> under arc.
+
+    Endpoints weigh +sign (over) and -sign (under), so the circle sums to
+    zero and the open arc (o, u) sums to prefix[u] - prefix[o + 1] even when
+    it wraps past the basepoint.
+    """
+    over, under = diagram.chord_positions()
+    signs = diagram.signs
+    prefix = [0, *accumulate([signs[chord] if role is Role.OVER else -signs[chord]
+                              for chord, role in diagram.endpoints])]
+    return [prefix[u] - prefix[o + 1] for o, u in zip(over, under)]
+
+
+def _index_polynomial(values: list[int],
+                      weights: Iterable[int]) -> IndexPolynomial:
+    """Sum of weight * t^|value| over the chords with nonzero value."""
+    coefficients: dict[int, int] = {}
+    for value, weight in zip(values, weights):
+        if value:
+            m = abs(value)
+            coefficients[m] = coefficients.get(m, 0) + weight
+    return IndexPolynomial.from_coefficients(coefficients)
+
+
 def chord_index(diagram: GaussDiagram, chord: int) -> int:
     """Signed count of the chords linked with ``chord``.
 
@@ -112,36 +144,17 @@ def chord_index(diagram: GaussDiagram, chord: int) -> int:
     along gamma_1) and -sign when the arrowhead lands on gamma_1.
     """
     diagram.check_chord(chord)
-    over, under = diagram.chord_positions()
-    return _chord_index(diagram.signs, over, under, chord,
-                        len(diagram.endpoints))
-
-
-def _chord_index(signs, over, under, chord, total) -> int:
-    start = over[chord]
-    span = (under[chord] - start) % total
-    value = 0
-    for d in range(len(signs)):
-        if d == chord:
-            continue
-        inside_over = 0 < (over[d] - start) % total < span
-        inside_under = 0 < (under[d] - start) % total < span
-        if inside_over != inside_under:  # linked
-            value += -signs[d] if inside_under else signs[d]
-    return value
+    return _arc_sums(diagram)[chord]
 
 
 def p_invariant(diagram: GaussDiagram) -> IndexPolynomial:
     """Sum of sign(c) * t^|chord_index(c)| over chords with nonzero index."""
-    over, under = diagram.chord_positions()
-    total = len(diagram.endpoints)
-    coefficients: dict[int, int] = {}
-    for chord in range(diagram.n_chords):
-        value = _chord_index(diagram.signs, over, under, chord, total)
-        if value:
-            m = abs(value)
-            coefficients[m] = coefficients.get(m, 0) + diagram.signs[chord]
-    return IndexPolynomial.from_coefficients(coefficients)
+    return _index_polynomial(_arc_sums(diagram), diagram.signs)
+
+
+def bound_from_p(p: IndexPolynomial) -> int:
+    """Ceiling of half the absolute coefficient sum of a p-invariant."""
+    return (p.abs_coefficient_sum() + 1) // 2
 
 
 def vu_lower_bound(diagram: GaussDiagram) -> int:
@@ -151,8 +164,7 @@ def vu_lower_bound(diagram: GaussDiagram) -> int:
     undone by crossing changes at all; that premise is the caller's
     responsibility.
     """
-    total = p_invariant(diagram).abs_coefficient_sum()
-    return (total + 1) // 2
+    return bound_from_p(p_invariant(diagram))
 
 
 def crossing_index(diagram: GaussDiagram, chord: int) -> int:
@@ -168,23 +180,7 @@ def crossing_index(diagram: GaussDiagram, chord: int) -> int:
     if any(s != 1 for s in diagram.signs):
         raise ValueError("crossing index needs an all-positive diagram; "
                          "normalize first")
-    over, under = diagram.chord_positions()
-    return _crossing_index(over, under, chord, len(diagram.endpoints),
-                           diagram.n_chords)
-
-
-def _crossing_index(over, under, chord, total, n) -> int:
-    tail = over[chord]
-    span = (under[chord] - tail) % total
-    value = 0
-    for d in range(n):
-        if d == chord:
-            continue
-        tail_inside = 0 < (over[d] - tail) % total < span
-        head_inside = 0 < (under[d] - tail) % total < span
-        if tail_inside != head_inside:  # linked
-            value += 1 if tail_inside else -1
-    return value
+    return _arc_sums(diagram)[chord]
 
 
 def u_invariant(diagram: GaussDiagram, negate: bool = False) -> IndexPolynomial:
@@ -194,15 +190,6 @@ def u_invariant(diagram: GaussDiagram, negate: bool = False) -> IndexPolynomial:
     is exactly invariant under them.  ``negate`` picks the mirror of the
     crossing-direction convention, negating every coefficient.
     """
-    normalized = normalize_positive(diagram)
-    over, under = normalized.chord_positions()
-    total = len(normalized.endpoints)
-    coefficients: dict[int, int] = {}
-    for chord in range(normalized.n_chords):
-        value = _crossing_index(over, under, chord, total, normalized.n_chords)
-        if value:
-            m = abs(value)
-            coefficients[m] = coefficients.get(m, 0) + (1 if value > 0 else -1)
-    if negate:
-        coefficients = {m: -b for m, b in coefficients.items()}
-    return IndexPolynomial.from_coefficients(coefficients)
+    values = _arc_sums(normalize_positive(diagram))
+    unit = -1 if negate else 1
+    return _index_polynomial(values, (unit if v > 0 else -unit for v in values))

@@ -185,12 +185,13 @@ def next_step(state: IJKState) -> UnknottingStep:
     if j > i:
         return UnknottingStep(StepKind.REDUCE, state, IJKState(i, j - i, k),
                               i * (i - 1) // 2)
-    assert j >= 2, "one-component states with j = 1 have k = 0"
+    if j < 2 or k + j == i:
+        # both always close to links, so a count of 1 here is a bug upstream
+        raise NotAKnotError(state, components)
     if k + j < i:
         return UnknottingStep(StepKind.A, state, IJKState(i - 1, j, j + k - 1), 0)
     if i == k + 1:
         return UnknottingStep(StepKind.C, state, IJKState(i, j - 1, 0), i - 1)
-    assert k + j != i, "k + j = i closes to a link, not a knot"
     return UnknottingStep(StepKind.B, state,
                           IJKState(i - 1, j - 1, j + k - i - 1), i - 1)
 

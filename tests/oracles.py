@@ -2,13 +2,14 @@
 
 Everything here is deliberately written along different lines than the
 package code: permutations as image dicts instead of occupant arrays, the
-closure trace as per-strand event lists spliced along the closure, arc
-membership as literal position sets, and the cancelling-pair matcher as an
+closure trace both as per-strand event lists spliced along the closure and
+as one walker making a full pass over the word per strand, arc membership
+as literal position sets, and the cancelling-pair matcher as an
 all-pairings search.
 """
 
 from vknot.braid import BraidWord
-from vknot.gauss import GaussDiagram, Role
+from vknot.gauss import GaussDiagram, MultiComponentError, Role
 from vknot.unknotting import IJKState, StepKind, UnknottingSequence
 
 
@@ -47,6 +48,9 @@ def oracle_trace(word: BraidWord) -> list[tuple[int, str, int]]:
     occupant vector, then splices the per-strand event lists together along
     the closure arcs starting from strand 1.
     """
+    components = oracle_cycle_count(word)
+    if components != 1:
+        raise MultiComponentError(components)
     events: dict[int, list[tuple[int, str, int]]] = {
         m: [] for m in range(1, word.strands + 1)}
     occupant = list(range(1, word.strands + 1))
@@ -69,6 +73,39 @@ def oracle_trace(word: BraidWord) -> list[tuple[int, str, int]]:
         sequence.extend(events[strand])
         strand = end_position[strand]
     assert strand == 1, "closure must return to the start"
+    return sequence
+
+
+def oracle_strand_walk(word: BraidWord) -> list[tuple[int, str, int]]:
+    """Closure trace as (chord, role letter, sign) events, by one walker.
+
+    The walker starts at position 1 and makes one full left-to-right pass
+    over the word per strand, moving with every letter that touches its
+    position and re-entering on the left where it left on the right.
+    """
+    components = oracle_cycle_count(word)
+    if components != 1:
+        raise MultiComponentError(components)
+    chord_of: list[int | None] = []
+    chords = 0
+    for letter in word.letters:
+        chord_of.append(chords if letter.is_classical else None)
+        chords += letter.is_classical
+    sequence: list[tuple[int, str, int]] = []
+    position = 1
+    for _ in range(word.strands):
+        for letter, chord in zip(word.letters, chord_of):
+            if letter.index == position:
+                if chord is not None:
+                    role = "O" if letter.sign > 0 else "U"
+                    sequence.append((chord, role, letter.sign))
+                position += 1
+            elif letter.index + 1 == position:
+                if chord is not None:
+                    role = "U" if letter.sign > 0 else "O"
+                    sequence.append((chord, role, letter.sign))
+                position -= 1
+    assert position == 1, "knot traversal must close up at the basepoint"
     return sequence
 
 
@@ -119,6 +156,34 @@ def brute_crossing_index(diagram: GaussDiagram, chord: int) -> int:
             continue
         value += 1 if tail_inside else -1
     return value
+
+
+def brute_p_coefficients(diagram: GaussDiagram) -> dict[int, int]:
+    """P's coefficients, exponent to coefficient, from brute_chord_index."""
+    coefficients: dict[int, int] = {}
+    for chord in range(diagram.n_chords):
+        value = brute_chord_index(diagram, chord)
+        if value:
+            coefficients[abs(value)] = (coefficients.get(abs(value), 0)
+                                        + diagram.signs[chord])
+    return {m: b for m, b in coefficients.items() if b}
+
+
+def brute_u_coefficients(diagram: GaussDiagram) -> dict[int, int]:
+    """u's coefficients from brute_crossing_index, after flipping the arrow
+    of every negative chord by hand."""
+    flipped = {"O": Role.UNDER, "U": Role.OVER}
+    positive = GaussDiagram(
+        tuple((chord, flipped[role.value] if diagram.signs[chord] < 0 else role)
+              for chord, role in diagram.endpoints),
+        (1,) * diagram.n_chords)
+    coefficients: dict[int, int] = {}
+    for chord in range(positive.n_chords):
+        value = brute_crossing_index(positive, chord)
+        if value:
+            coefficients[abs(value)] = (coefficients.get(abs(value), 0)
+                                        + (1 if value > 0 else -1))
+    return {m: b for m, b in coefficients.items() if b}
 
 
 def r1_chords(diagram: GaussDiagram) -> set[int]:

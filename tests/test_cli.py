@@ -1,10 +1,14 @@
 """Command-line behavior: outputs, exit codes, byte stability."""
 
 import json
+import os
+import stat
+import subprocess
+import sys
 
 import pytest
 
-from vknot.cli import main
+from vknot.cli import main, write_atomic
 
 
 def run(capsys, *argv):
@@ -132,6 +136,49 @@ class TestTable:
                            "--csv", str(tmp_path / "no" / "dir" / "rows.csv"))
         assert code == 1 and err
 
+    def test_csv_file_replaces_existing(self, capsys, tmp_path):
+        target = tmp_path / "rows.csv"
+        target.write_text("stale\n" * 100)
+        code, _, _ = run(capsys, "table", "vt2", "--max-p", "3",
+                         "--csv", str(target))
+        assert code == 0
+        assert target.read_text() == "p,q,half_sum\n3,2,0\n"
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_csv_to_a_pipe_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run(capsys, "table", "vt2", "--max-p", "3",
+                             "--csv", str(fifo))
+            data = os.read(reader, 4096)
+        finally:
+            os.close(reader)
+        assert code == 0 and data == b"p,q,half_sum\n3,2,0\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+class TestAtomicWrite:
+    def test_failure_midway_keeps_target_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        target.write_bytes(b"old line\n")
+
+        def chunks():
+            yield "new line\n" * 1000
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(str(target), chunks())
+        assert target.read_bytes() == b"old line\n"
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_new_file_written_whole(self, tmp_path):
+        target = tmp_path / "out.csv"
+        write_atomic(str(target), ("a,b\n", "1,2\n"))
+        assert target.read_bytes() == b"a,b\n1,2\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
 
 class TestScan:
     def test_records_and_summary(self, capsys):
@@ -220,3 +267,15 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["invariants", "--bound"])
         assert info.value.code == 2
+
+
+def test_link_exits_3_with_assertions_stripped():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "vknot.cli", "invariants",
+         "--braid", "1 1", "--strands", "2"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert "2 components" in result.stderr

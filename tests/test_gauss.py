@@ -26,8 +26,9 @@ from vknot.gauss import (
     simplify,
 )
 
-from oracles import diagram_from_layout, oracle_trace, r1_chords, r2_removable_pairs
-from strategies import gauss_diagrams, knot_words
+from oracles import (diagram_from_layout, oracle_cycle_count, oracle_strand_walk,
+                     oracle_trace, r1_chords, r2_removable_pairs)
+from strategies import braid_words, gauss_diagrams, knot_words
 
 
 class TestTrace:
@@ -55,10 +56,19 @@ class TestTrace:
     @given(knot_words())
     def test_matches_splicing_oracle(self, word):
         diagram = gauss_from_closure(word)
-        expected = oracle_trace(word)
         got = [(chord, role.value, diagram.signs[chord])
                for chord, role in diagram.endpoints]
-        assert got == expected
+        assert got == oracle_trace(word)
+        assert got == oracle_strand_walk(word)
+
+    @given(braid_words().filter(lambda word: oracle_cycle_count(word) > 1))
+    def test_links_rejected_like_the_oracles(self, word):
+        components = []
+        for trace in (gauss_from_closure, oracle_trace, oracle_strand_walk):
+            with pytest.raises(MultiComponentError) as info:
+                trace(word)
+            components.append(info.value.components)
+        assert components == [oracle_cycle_count(word)] * 3
 
     def test_empty_word_on_one_strand_is_the_unknot(self):
         diagram = gauss_from_closure(parse_braid("", strands=1))

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given
 
-from vknot.braid import classical, component_count, BraidWord, make_ijk, make_vt, parse_braid
+from vknot.braid import (classical, component_count, BraidWord, make_ijk, make_vt,
+                         parse_braid, virtual)
 from vknot.gauss import (
     GaussDiagram,
     flip,
@@ -24,7 +25,8 @@ from vknot.invariants import (
     vu_lower_bound,
 )
 
-from oracles import brute_chord_index, brute_crossing_index
+from oracles import (brute_chord_index, brute_crossing_index, brute_p_coefficients,
+                     brute_u_coefficients)
 from strategies import gauss_diagrams
 
 
@@ -215,3 +217,34 @@ class TestUInvariant:
         assert value == poly({2: -1, 1: 2})
         assert value.abs_coefficients() == {2: 1, 1: 2}
         assert u_invariant(diagram, negate=True) == poly({2: 1, 1: -2})
+
+
+def seeded_torus_word(strands, seed, virtual_share=0.15):
+    """The (strands, strands-1) torus braid with random signs and a share of
+    its letters virtual; strands and blocks are coprime, so it is a knot."""
+    rng = random.Random(seed)
+    blocks = strands - 1
+    total = blocks * blocks
+    virtual_at = set(rng.sample(range(total), round(virtual_share * total)))
+    letters = [virtual(position % blocks + 1) if position in virtual_at
+               else classical(position % blocks + 1, rng.choice((1, -1)))
+               for position in range(total)]
+    return BraidWord(strands, tuple(letters))
+
+
+@pytest.mark.parametrize("word", [
+    make_vt(30, 29, 2),
+    seeded_torus_word(20, seed=7),
+    seeded_torus_word(22, seed=8),
+], ids=["vt:30,29,2", "seeded-20", "seeded-22"])
+def test_polynomials_match_brute_force_at_scale(word):
+    """Hundreds of chords, so many arcs wrap past the basepoint."""
+    diagram = gauss_from_closure(word)
+    assert diagram.n_chords >= 300
+    over, under = diagram.chord_positions()
+    assert sum(o > u for o, u in zip(over, under)) >= 100
+    assert p_invariant(diagram) == poly(brute_p_coefficients(diagram))
+    assert u_invariant(diagram) == poly(brute_u_coefficients(diagram))
+    normalized = normalize_positive(diagram)
+    assert sum(crossing_index(normalized, chord)
+               for chord in range(normalized.n_chords)) == 0

@@ -80,6 +80,15 @@ class TestNextStep:
             next_step(IJKState(i, j, k))
         assert info.value.components == component_count(make_ijk(i, j, k))
 
+    @pytest.mark.parametrize("i,j,k", [(3, 1, 1), (5, 3, 2)])
+    def test_link_shapes_rejected_even_if_counted_as_knots(self, monkeypatch,
+                                                           i, j, k):
+        # j = 1 with k > 0 and k + j = i are links by the family's algebra;
+        # next_step refuses them with a typed error, not an assert
+        monkeypatch.setattr("vknot.unknotting.component_count", lambda word: 1)
+        with pytest.raises(NotAKnotError):
+            next_step(IJKState(i, j, k))
+
 
 class TestStepValidation:
     def test_valid_step_builds(self):
