@@ -154,22 +154,11 @@ class FamilySpec:
     params: tuple[int, int, int]
 
     def __post_init__(self) -> None:
+        # the parameter ranges are make_vt's and make_ijk's to check
         object.__setattr__(self, "params", tuple(self.params))
         if len(self.params) != 3:
             raise ValueError("families take exactly three parameters")
-        if self.variant == "vt":
-            p, q, n = self.params
-            if p < 2 or q < 1 or not 1 <= n <= q:
-                raise ValueError(
-                    f"invalid vt parameters (p,q,n)={self.params}: "
-                    "need p >= 2, q >= 1, 1 <= n <= q")
-        elif self.variant == "ijk":
-            i, j, k = self.params
-            if i < 1 or j < 1 or not 0 <= k < i:
-                raise ValueError(
-                    f"invalid ijk parameters (i,j,k)={self.params}: "
-                    "need i >= 1, j >= 1, 0 <= k < i")
-        else:
+        if self.variant not in ("vt", "ijk"):
             raise ValueError(f"unknown family variant {self.variant!r}")
 
     @classmethod
@@ -200,12 +189,16 @@ def make_vt(p: int, q: int, n: int) -> BraidWord:
     position 1 passes over everything it crosses.
     """
     if p < 2 or q < 1 or not 1 <= n <= q:
-        raise ValueError(f"invalid parameters (p,q,n)=({p},{q},{n})")
+        raise ValueError(f"invalid vt parameters (p,q,n)=({p},{q},{n}): "
+                         "need p >= 2, q >= 1, 1 <= n <= q")
+    # letters are frozen, so every block shares one list of them
+    virtual_block = [virtual(k) for k in range(1, p)]
+    classical_block = [classical(k) for k in range(1, p)]
     letters: list[BraidLetter] = []
     for _ in range(n):
-        letters.extend(virtual(k) for k in range(1, p))
+        letters.extend(virtual_block)
     for _ in range(q - n):
-        letters.extend(classical(k) for k in range(1, p))
+        letters.extend(classical_block)
     return BraidWord(p, tuple(letters))
 
 
@@ -216,11 +209,14 @@ def make_ijk(i: int, j: int, k: int) -> BraidWord:
     The classical crossing count is (i-1)(j-1) + k.
     """
     if i < 1 or j < 1 or not 0 <= k < i:
-        raise ValueError(f"invalid parameters (i,j,k)=({i},{j},{k})")
+        raise ValueError(f"invalid ijk parameters (i,j,k)=({i},{j},{k}): "
+                         "need i >= 1, j >= 1, 0 <= k < i")
+    # letters are frozen, so every block shares one list of them
+    block = [classical(t) for t in range(1, i)]
     letters = [virtual(t) for t in range(1, i)]
     for _ in range(j - 1):
-        letters.extend(classical(t) for t in range(1, i))
-    letters.extend(classical(t) for t in range(k, 0, -1))
+        letters.extend(block)
+    letters.extend(reversed(block[:k]))
     return BraidWord(i, tuple(letters))
 
 

@@ -11,13 +11,13 @@ import contextlib
 import json
 import os
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .braid import BraidParseError, BraidWord, FamilySpec, parse_braid
 from .gauss import MultiComponentError, emit_gauss_code, gauss_from_closure
 from .invariants import bound_from_p, p_invariant, poly_to_string, u_invariant
-from .search import (default_table_pairs, scan_torus_virtualizations,
-                     summarize_scan, table_to_csv, table_vt2)
+from .search import (ScanRecord, ScanSummary, default_table_pairs,
+                     scan_torus_virtualizations, table_to_csv, table_vt2)
 from .unknotting import (NotAKnotError, unknotting_sequence, verify_row,
                          verify_theorem2)
 
@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="re-derive the unknotting-number equalities")
     verify.add_argument("target", choices=["theorem2"])
     verify.add_argument("--max-i", type=int, default=12)
-    verify.add_argument("--workers", type=int)
+    verify.add_argument("--workers", type=int,
+                        help="accepted and ignored: verify runs serially")
     verify.add_argument("--strict", action="store_true",
                         help="exit 1 when any row fails")
     verify.add_argument("--json", action="store_true")
@@ -151,33 +152,35 @@ def cmd_unknot_seq(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     rows = table_vt2(default_table_pairs(args.max_p))
-    _emit(args.csv, table_to_csv(rows))
+    _emit(args.csv, (table_to_csv(rows),))
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    records = list(scan_torus_virtualizations(args.p, args.q, args.limit))
-    summary = summarize_scan(records)
-    lines = []
-    for record in records:
-        if args.nonzero_u and not record.has_nonzero_u:
-            continue
-        lines.append(json.dumps(record.to_json_dict(), sort_keys=True))
-    lines.append(json.dumps({"summary": summary.to_json_dict()},
-                            sort_keys=True))
-    _emit(args.jsonl, "\n".join(lines) + "\n")
+    records = scan_torus_virtualizations(args.p, args.q, args.limit)
+    _emit(args.jsonl, _scan_lines(records, args.nonzero_u))
     return 0
 
 
-def _emit(path: str | None, text: str) -> None:
+def _scan_lines(records: Iterable[ScanRecord], nonzero_u: bool) -> Iterator[str]:
+    """Each record's JSON line as the record arrives, then the summary line."""
+    summary = ScanSummary()
+    for record in records:
+        summary.add(record)
+        if not nonzero_u or record.has_nonzero_u:
+            yield json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+    yield json.dumps({"summary": summary.to_json_dict()}, sort_keys=True) + "\n"
+
+
+def _emit(path: str | None, chunks: Iterable[str]) -> None:
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     elif os.path.exists(path) and not os.path.isfile(path):
         # a device or a pipe cannot be swapped in by a rename
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        write_atomic(path, (text,))
+        write_atomic(path, chunks)
 
 
 def write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -200,7 +203,7 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_theorem2(args.max_i, workers=args.workers)
+    report = verify_theorem2(args.max_i)
     if args.json:
         print(json.dumps(report.to_json_rows(), sort_keys=True))
     else:

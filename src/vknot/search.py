@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .braid import BraidWord, classical, component_count, make_vt, virtual
-from .gauss import gauss_from_closure
+from .braid import BraidWord, classical, make_vt, virtual
+from .gauss import MultiComponentError, gauss_from_closure, remove_chords
 from .invariants import IndexPolynomial, p_invariant, u_invariant
 
 # Without an explicit limit, refuse scans beyond this many crossing positions
@@ -94,6 +94,10 @@ def scan_torus_virtualizations(p: int, q: int,
     Emits one record per subset; u and P are computed only when the closure
     is a knot.  ``limit`` truncates the enumeration after that many subsets
     and is required once (p-1)q exceeds DEFAULT_SCAN_BITS.
+
+    Virtual and classical letters permute the strands alike, so every
+    subset closes like ``torus_word(p, q)``, and its diagram is that one
+    traced diagram with the subset's chords removed.
     """
     if p < 2 or q < 2:
         raise ValueError(f"need p >= 2 and q >= 2, got ({p},{q})")
@@ -102,29 +106,46 @@ def scan_torus_virtualizations(p: int, q: int,
         raise ValueError(
             f"{total} crossing positions means 2^{total} subsets; "
             "pass an explicit limit to opt in")
+    try:
+        base, components = gauss_from_closure(torus_word(p, q)), 1
+    except MultiComponentError as error:
+        base, components = None, error.components
     remaining = limit if limit is not None else 1 << total
     for size in range(total + 1):
         for subset in itertools.combinations(range(total), size):
             if remaining <= 0:
                 return
             remaining -= 1
-            word = virtualize_subset(p, q, subset)
-            components = component_count(word)
-            if components == 1:
-                diagram = gauss_from_closure(word)
+            if base is None:
+                yield ScanRecord(subset, components, None, None)
+            else:
+                diagram = remove_chords(base, subset)
                 yield ScanRecord(subset, 1, u_invariant(diagram),
                                  p_invariant(diagram))
-            else:
-                yield ScanRecord(subset, components, None, None)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScanSummary:
-    subsets: int
-    knots: int
-    nonzero_u: int
-    pattern_attained: bool
-    first_nonzero_u: tuple[int, ...] | None
+    """Scan counts, folded one record at a time by ``add``, so a streamed
+    scan is summarised without keeping its records."""
+
+    subsets: int = 0
+    knots: int = 0
+    nonzero_u: int = 0
+    pattern_attained: bool = False
+    first_nonzero_u: tuple[int, ...] | None = None
+
+    def add(self, record: ScanRecord) -> None:
+        self.subsets += 1
+        if not record.is_knot:
+            return
+        self.knots += 1
+        if record.has_nonzero_u:
+            self.nonzero_u += 1
+            if self.first_nonzero_u is None:
+                self.first_nonzero_u = record.subset
+            if record.u is not None and record.u.abs_coefficients() == REPORTED_U_PATTERN:
+                self.pattern_attained = True
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,21 +161,10 @@ class ScanSummary:
 def summarize_scan(records: Iterable[ScanRecord]) -> ScanSummary:
     """Counts plus whether any knot's u matches REPORTED_U_PATTERN in
     absolute coefficients."""
-    subsets = knots = nonzero = 0
-    first: tuple[int, ...] | None = None
-    attained = False
+    summary = ScanSummary()
     for record in records:
-        subsets += 1
-        if not record.is_knot:
-            continue
-        knots += 1
-        if record.has_nonzero_u:
-            nonzero += 1
-            if first is None:
-                first = record.subset
-            if record.u is not None and record.u.abs_coefficients() == REPORTED_U_PATTERN:
-                attained = True
-    return ScanSummary(subsets, knots, nonzero, attained, first)
+        summary.add(record)
+    return summary
 
 
 @dataclass(frozen=True)

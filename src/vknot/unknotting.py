@@ -1,14 +1,16 @@
 """Explicit crossing-change unknotting of the (i, j, k) family.
 
-States are the parameter triples themselves.  Four moves act on them:
+States are the parameter triples themselves.  Four moves act on them; the
+table ``_MOVES`` is the single source of their rules (guard, target, cost),
+read by both ``next_step`` and ``UnknottingStep``.
 
 * ``Reduce``: while j > i, undo a full twist; i(i-1)/2 crossing changes.
 * ``A``: when 2 <= k+j < i, slide the top strand around for free and drop
   the braid index; (i, j, k) -> (i-1, j, j+k-1), zero changes.
-* ``B``: when i < k+j < 2i-1 and i != k+1, the slide first needs the i-1
-  crossings on one overstrand changed; -> (i-1, j-1, j+k-i-1).
 * ``C``: when i = k+1, absorb the descending tail into the last block with
   i-1 changes; -> (i, j-1, 0).
+* ``B``: when i < k+j < 2i-1 and i != k+1, the slide first needs the i-1
+  crossings on one overstrand changed; -> (i-1, j-1, j+k-i-1).
 
 Every move either preserves or lowers the quantity ((i-1)(j-1)+k)/2 by
 exactly its change count, so a full sequence down to a terminal (i, 1, 0)
@@ -24,7 +26,7 @@ from enum import Enum
 from typing import Iterator
 
 from .braid import BraidWord, component_count, make_ijk
-from .gauss import gauss_from_closure
+from .gauss import GaussDiagram, MultiComponentError, gauss_from_closure
 from .invariants import u_invariant, vu_lower_bound
 
 
@@ -33,6 +35,24 @@ class StepKind(Enum):
     A = "A"
     B = "B"
     C = "C"
+
+
+# kind -> (guard, target, cost), each a function of (i, j, k), in the order
+# next_step tries them: Reduce's guard overlaps C's and B's.
+_MOVES = {
+    StepKind.REDUCE: (lambda i, j, k: j > i,
+                      lambda i, j, k: (i, j - i, k),
+                      lambda i, j, k: i * (i - 1) // 2),
+    StepKind.A: (lambda i, j, k: j >= 2 and 2 <= k + j < i,
+                 lambda i, j, k: (i - 1, j, j + k - 1),
+                 lambda i, j, k: 0),
+    StepKind.C: (lambda i, j, k: j >= 2 and i == k + 1,
+                 lambda i, j, k: (i, j - 1, 0),
+                 lambda i, j, k: i - 1),
+    StepKind.B: (lambda i, j, k: j >= 2 and i < k + j < 2 * i - 1 and i != k + 1,
+                 lambda i, j, k: (i - 1, j - 1, j + k - i - 1),
+                 lambda i, j, k: i - 1),
+}
 
 
 class NotAKnotError(ValueError):
@@ -80,7 +100,7 @@ class IJKState:
 
 @dataclass(frozen=True)
 class UnknottingStep:
-    """One move; the transition formula and its cost are checked on build."""
+    """One move; its kind's guard, target and cost are checked on build."""
 
     kind: StepKind
     before: IJKState
@@ -88,28 +108,12 @@ class UnknottingStep:
     changes: int
 
     def __post_init__(self) -> None:
-        i, j, k = self.before.as_tuple()
-        kind = self.kind
-        if kind is StepKind.REDUCE:
-            ok = (j > i and self.after == IJKState(i, j - i, k)
-                  and self.changes == i * (i - 1) // 2)
-        elif kind is StepKind.A:
-            ok = (j >= 2 and 2 <= k + j < i
-                  and self.after == IJKState(i - 1, j, j + k - 1)
-                  and self.changes == 0)
-        elif kind is StepKind.B:
-            ok = (j >= 2 and i < k + j < 2 * i - 1 and i != k + 1
-                  and self.after == IJKState(i - 1, j - 1, j + k - i - 1)
-                  and self.changes == i - 1)
-        elif kind is StepKind.C:
-            ok = (j >= 2 and i == k + 1
-                  and self.after == IJKState(i, j - 1, 0)
-                  and self.changes == i - 1)
-        else:
-            ok = False
-        if not ok:
+        guard, target, cost = _MOVES[self.kind]
+        triple = self.before.as_tuple()
+        if not (guard(*triple) and self.after.as_tuple() == target(*triple)
+                and self.changes == cost(*triple)):
             raise ValueError(
-                f"invalid {kind.value} step {self.before} -> {self.after} "
+                f"invalid {self.kind.value} step {self.before} -> {self.after} "
                 f"({self.changes} changes)")
 
     def to_json_dict(self) -> dict:
@@ -171,43 +175,38 @@ class UnknottingSequence:
 
 
 def next_step(state: IJKState) -> UnknottingStep:
-    """The unique applicable move for a one-component state.
+    """The first move whose guard holds, trying Reduce, A, C, B in turn.
 
-    Raises TerminalStateError at (i, 1, 0) and NotAKnotError when the
-    closure is a link; j = 1 with k > 0 and k + j = i always land there.
+    Raises TerminalStateError at (i, 1, 0) and NotAKnotError when no guard
+    holds, which is where the j = 1 (k > 0) and k + j = i links land.  The
+    guards do not test the component count: a link may still take moves,
+    but moves keep the count, so its chain ends at a state with none.
     """
     if state.is_terminal:
         raise TerminalStateError(f"{state} is already the unknot")
-    components = component_count(state.braid_word())
-    if components != 1:
-        raise NotAKnotError(state, components)
-    i, j, k = state.as_tuple()
-    if j > i:
-        return UnknottingStep(StepKind.REDUCE, state, IJKState(i, j - i, k),
-                              i * (i - 1) // 2)
-    if j < 2 or k + j == i:
-        # both always close to links, so a count of 1 here is a bug upstream
-        raise NotAKnotError(state, components)
-    if k + j < i:
-        return UnknottingStep(StepKind.A, state, IJKState(i - 1, j, j + k - 1), 0)
-    if i == k + 1:
-        return UnknottingStep(StepKind.C, state, IJKState(i, j - 1, 0), i - 1)
-    return UnknottingStep(StepKind.B, state,
-                          IJKState(i - 1, j - 1, j + k - i - 1), i - 1)
+    triple = state.as_tuple()
+    for kind, (guard, target, cost) in _MOVES.items():
+        if guard(*triple):
+            return UnknottingStep(kind, state, IJKState(*target(*triple)),
+                                  cost(*triple))
+    raise NotAKnotError(state, component_count(state.braid_word()))
 
 
 def unknotting_sequence(i: int, j: int, k: int) -> UnknottingSequence:
     """Full move chain from (i, j, k) down to a terminal state."""
-    state = IJKState(i, j, k)
+    start = state = IJKState(i, j, k)
     steps: list[UnknottingStep] = []
     while True:
         try:
             step = next_step(state)
         except TerminalStateError:
             break
+        except NotAKnotError as error:
+            # moves keep the component count, so the start is the link
+            raise NotAKnotError(start, error.components) from None
         steps.append(step)
         state = step.after
-    return UnknottingSequence(IJKState(i, j, k), tuple(steps))
+    return UnknottingSequence(start, tuple(steps))
 
 
 def knot_parameter_triples(max_i: int) -> Iterator[tuple[int, int, int]]:
@@ -262,18 +261,20 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _state_check(state: IJKState, cache: dict) -> str:
-    """Empty string when the state is a knot with zero u, else a complaint."""
+def _state_check(state: IJKState, cache: dict,
+                 diagram: GaussDiagram | None = None) -> str:
+    """Empty string when the state is a knot with zero u, else a complaint.
+    ``diagram`` is the state's traced closure, when the caller has it."""
     key = state.as_tuple()
     if key not in cache:
-        word = state.braid_word()
-        components = component_count(word)
-        if components != 1:
-            cache[key] = f"intermediate {state} has {components} components"
-        elif not u_invariant(gauss_from_closure(word)).is_zero:
-            cache[key] = f"intermediate {state} has nonzero u"
+        try:
+            if diagram is None:
+                diagram = gauss_from_closure(state.braid_word())
+        except MultiComponentError as error:
+            cache[key] = f"intermediate {state} has {error.components} components"
         else:
-            cache[key] = ""
+            cache[key] = ("" if u_invariant(diagram).is_zero
+                          else f"intermediate {state} has nonzero u")
     return cache[key]
 
 
@@ -289,14 +290,16 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
     problems: list[str] = []
     if crossings % 2:
         problems.append(f"odd crossing count {crossings}")
-    lower = vu_lower_bound(gauss_from_closure(state.braid_word()))
+    diagram = gauss_from_closure(state.braid_word())
+    lower = vu_lower_bound(diagram)
     sequence = unknotting_sequence(i, j, k)
     upper = sequence.total_changes
     if not lower == upper == formula:
         problems.append(
             f"bounds disagree: lower={lower} upper={upper} formula={formula}")
     for intermediate in sequence.states():
-        message = _state_check(intermediate, cache)
+        message = _state_check(intermediate, cache,
+                               diagram if intermediate == state else None)
         if message:
             problems.append(message)
             break
@@ -304,25 +307,11 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
                      "; ".join(problems))
 
 
-def _verify_row_task(triple: tuple[int, int, int]) -> VerifyRow:
-    return verify_row(*triple)
-
-
-def verify_theorem2(max_i: int, workers: int | None = None) -> VerifyReport:
-    """Run verify_row over every knot state with i up to ``max_i``.
-
-    ``workers`` > 1 fans the rows out over processes; the rows come back in
-    parameter order either way, so the report is identical.
-    """
+def verify_theorem2(max_i: int) -> VerifyReport:
+    """Run verify_row over every knot state with i up to ``max_i``, in
+    parameter order, sharing one state cache across the rows."""
     if max_i < 2:
         raise ValueError(f"max_i must be >= 2, got {max_i}")
-    triples = list(knot_parameter_triples(max_i))
-    if workers is not None and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_verify_row_task, triples, chunksize=8))
-    else:
-        cache: dict = {}
-        rows = tuple(verify_row(i, j, k, cache) for i, j, k in triples)
-    return VerifyReport(max_i, rows)
+    cache: dict = {}
+    return VerifyReport(max_i, tuple(
+        verify_row(i, j, k, cache) for i, j, k in knot_parameter_triples(max_i)))

@@ -4,11 +4,11 @@ Everything here is deliberately written along different lines than the
 package code: permutations as image dicts instead of occupant arrays, the
 closure trace both as per-strand event lists spliced along the closure and
 as one walker making a full pass over the word per strand, arc membership
-as literal position sets, and the cancelling-pair matcher as an
-all-pairings search.
+as literal position sets, the cancelling-pair matcher as an
+all-pairings search, and the unknotting moves as if-chains.
 """
 
-from vknot.braid import BraidWord
+from vknot.braid import BraidWord, make_ijk
 from vknot.gauss import GaussDiagram, MultiComponentError, Role
 from vknot.unknotting import IJKState, StepKind, UnknottingSequence
 
@@ -224,31 +224,51 @@ def r2_removable_pairs(diagram: GaussDiagram) -> set[frozenset]:
     return pairs
 
 
+def oracle_move_rule(kind: StepKind, i: int, j: int,
+                     k: int) -> tuple[bool, tuple[int, int, int], int]:
+    """Whether ``kind`` applies at (i, j, k), and its target and cost."""
+    if kind is StepKind.REDUCE:
+        return j > i, (i, j - i, k), i * (i - 1) // 2
+    if kind is StepKind.A:
+        return j >= 2 and 2 <= k + j < i, (i - 1, j, j + k - 1), 0
+    if kind is StepKind.B:
+        return (j >= 2 and i < k + j < 2 * i - 1 and i != k + 1,
+                (i - 1, j - 1, j + k - i - 1), i - 1)
+    if kind is StepKind.C:
+        return j >= 2 and i == k + 1, (i, j - 1, 0), i - 1
+    raise AssertionError(f"unknown step kind {kind}")
+
+
+def oracle_first_move(i: int, j: int,
+                      k: int) -> tuple[StepKind, tuple[int, int, int], int] | None:
+    """The move for a state as one if-chain that checks the component
+    count first; None at a terminal state, MultiComponentError on a link."""
+    if j == 1 and k == 0:
+        return None
+    components = oracle_cycle_count(make_ijk(i, j, k))
+    if components != 1:
+        raise MultiComponentError(components)
+    if j > i:
+        return StepKind.REDUCE, (i, j - i, k), i * (i - 1) // 2
+    if j < 2 or k + j == i:
+        raise AssertionError(f"({i},{j},{k}) is a knot of a link shape")
+    if k + j < i:
+        return StepKind.A, (i - 1, j, j + k - 1), 0
+    if i == k + 1:
+        return StepKind.C, (i, j - 1, 0), i - 1
+    return StepKind.B, (i - 1, j - 1, j + k - i - 1), i - 1
+
+
 def replay_sequence(sequence: UnknottingSequence) -> None:
     """Re-derive every step's transition formula and cost from scratch."""
     state = sequence.start
     total = 0
     for step in sequence.steps:
         assert step.before == state
-        i, j, k = state.i, state.j, state.k
-        if step.kind is StepKind.REDUCE:
-            assert j > i
-            assert step.after == IJKState(i, j - i, k)
-            assert step.changes == i * (i - 1) // 2
-        elif step.kind is StepKind.A:
-            assert j >= 2 and 2 <= k + j < i
-            assert step.after == IJKState(i - 1, j, j + k - 1)
-            assert step.changes == 0
-        elif step.kind is StepKind.B:
-            assert j >= 2 and i < k + j < 2 * i - 1 and i != k + 1
-            assert step.after == IJKState(i - 1, j - 1, j + k - i - 1)
-            assert step.changes == i - 1
-        elif step.kind is StepKind.C:
-            assert j >= 2 and i == k + 1
-            assert step.after == IJKState(i, j - 1, 0)
-            assert step.changes == i - 1
-        else:
-            raise AssertionError(f"unknown step kind {step.kind}")
+        applies, target, cost = oracle_move_rule(step.kind, *state.as_tuple())
+        assert applies
+        assert step.after == IJKState(*target)
+        assert step.changes == cost
         total += step.changes
         state = step.after
     assert state.j == 1 and state.k == 0

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, exit codes, byte stability."""
 
+import concurrent.futures
+import io
 import json
 import os
 import stat
@@ -9,6 +11,7 @@ import sys
 import pytest
 
 from vknot.cli import main, write_atomic
+from vknot.search import scan_torus_virtualizations
 
 
 def run(capsys, *argv):
@@ -67,6 +70,16 @@ class TestInvariants:
     def test_parse_errors_exit_2(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err
+
+    @pytest.mark.parametrize("family,constraint", [
+        ("vt:1,1,1", "need p >= 2, q >= 1, 1 <= n <= q"),
+        ("ijk:3,1,3", "need i >= 1, j >= 1, 0 <= k < i"),
+    ])
+    def test_family_ranges_exit_2_naming_the_constraint(self, capsys, family,
+                                                        constraint):
+        code, out, err = run(capsys, "invariants", "--family", family)
+        assert code == 2 and out == ""
+        assert constraint in err
 
     def test_json_byte_stability(self, capsys):
         _, first, _ = run(capsys, "invariants", "--family", "ijk:5,3,2", "--json")
@@ -220,6 +233,38 @@ class TestScan:
         lines = target.read_text().splitlines()
         assert len(lines) == 5
 
+    def test_each_line_is_written_before_the_next_record(self, monkeypatch):
+        out = io.StringIO()
+        written_before = []
+
+        def records(*args):
+            for record in scan_torus_virtualizations(*args):
+                written_before.append(out.getvalue())
+                yield record
+
+        monkeypatch.setattr("vknot.cli.scan_torus_virtualizations", records)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["scan", "--p", "3", "--q", "2", "--limit", "3"]) == 0
+        lines = out.getvalue().splitlines(keepends=True)
+        assert len(lines) == 4
+        assert written_before == ["", lines[0], lines[0] + lines[1]]
+
+    def test_failed_jsonl_scan_keeps_target_and_leaves_no_temp(
+            self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "records.jsonl"
+        target.write_bytes(b"old line\n")
+
+        def records(*args):
+            yield from scan_torus_virtualizations(3, 2, 5)
+            raise OSError("disk full")
+
+        monkeypatch.setattr("vknot.cli.scan_torus_virtualizations", records)
+        code, out, err = run(capsys, "scan", "--p", "3", "--q", "2",
+                             "--jsonl", str(target))
+        assert code == 1 and out == "" and "disk full" in err
+        assert target.read_bytes() == b"old line\n"
+        assert os.listdir(tmp_path) == ["records.jsonl"]
+
     def test_oversized_scan_needs_limit(self, capsys):
         code, _, err = run(capsys, "scan", "--p", "4", "--q", "6")
         assert code == 2 and "limit" in err
@@ -251,6 +296,17 @@ class TestVerify:
         _, parallel, _ = run(capsys, "verify", "theorem2", "--max-i", "4",
                              "--workers", "2")
         assert serial == parallel
+
+    def test_workers_start_no_process_pool(self, capsys, monkeypatch):
+        _, serial, _ = run(capsys, "verify", "theorem2", "--max-i", "4")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify must not start a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        code, out, _ = run(capsys, "verify", "theorem2", "--max-i", "4",
+                           "--workers", "2")
+        assert code == 0 and out == serial
 
     def test_bad_max_i_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "theorem2", "--max-i", "1")

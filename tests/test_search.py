@@ -3,8 +3,10 @@
 import pytest
 
 from vknot.braid import make_vt
-from vknot.gauss import gauss_from_closure
+from vknot.gauss import MultiComponentError, gauss_from_closure
+from vknot.invariants import p_invariant, u_invariant
 from vknot.search import (
+    ScanRecord,
     default_table_pairs,
     scan_torus_virtualizations,
     summarize_scan,
@@ -100,6 +102,22 @@ class TestScan:
         assert summary.nonzero_u == 48
         assert summary.pattern_attained
         assert summary.first_nonzero_u == (0, 1, 4)
+
+    @pytest.mark.parametrize("p,q", [(3, 4), (4, 3), (5, 3), (3, 5), (2, 4),
+                                     (4, 2), (3, 3), (2, 5), (6, 2)])
+    def test_records_match_a_trace_of_each_subset(self, p, q):
+        # the scan traces the torus braid once and deletes chords; here
+        # every subset's word is built and traced on its own
+        for record in scan_torus_virtualizations(p, q):
+            word = virtualize_subset(p, q, record.subset)
+            try:
+                diagram = gauss_from_closure(word)
+            except MultiComponentError as error:
+                expected = ScanRecord(record.subset, error.components, None, None)
+            else:
+                expected = ScanRecord(record.subset, 1, u_invariant(diagram),
+                                      p_invariant(diagram))
+            assert record == expected
 
     def test_summary_json_shape(self):
         summary = summarize_scan(scan_torus_virtualizations(3, 2))

@@ -3,7 +3,7 @@
 import pytest
 
 from vknot.braid import component_count, make_ijk
-from vknot.gauss import gauss_from_closure
+from vknot.gauss import MultiComponentError, gauss_from_closure
 from vknot.invariants import u_invariant
 from vknot.unknotting import (
     IJKState,
@@ -19,7 +19,17 @@ from vknot.unknotting import (
     verify_theorem2,
 )
 
-from oracles import replay_sequence
+from oracles import (oracle_cycle_count, oracle_first_move, oracle_move_rule,
+                     replay_sequence)
+
+# Every state with i <= 10, 1 <= j <= 3i and 0 <= k < i: knots, links,
+# terminal states and repeated full twists.
+ALL_STATES = [IJKState(i, j, k) for i in range(2, 11)
+              for j in range(1, 3 * i + 1) for k in range(i)]
+
+
+def _valid_state(i, j, k):
+    return i >= 2 and j >= 1 and 0 <= k < i
 
 
 class TestState:
@@ -88,6 +98,50 @@ class TestNextStep:
         monkeypatch.setattr("vknot.unknotting.component_count", lambda word: 1)
         with pytest.raises(NotAKnotError):
             next_step(IJKState(i, j, k))
+
+
+class TestAgainstOracleRules:
+    def test_steps_build_exactly_when_the_oracle_accepts(self):
+        for state in ALL_STATES:
+            for kind in StepKind:
+                applies, target, cost = oracle_move_rule(kind, *state.as_tuple())
+                if applies:
+                    step = UnknottingStep(kind, state, IJKState(*target), cost)
+                    assert (step.after.as_tuple(), step.changes) == (target, cost)
+                    with pytest.raises(ValueError):
+                        UnknottingStep(kind, state, IJKState(*target), cost + 1)
+                    with pytest.raises(ValueError):
+                        UnknottingStep(kind, state, state, cost)
+                else:
+                    after = IJKState(*target) if _valid_state(*target) else state
+                    with pytest.raises(ValueError):
+                        UnknottingStep(kind, state, after, cost)
+
+    def test_next_step_agrees_with_the_if_chain_on_knots(self):
+        knots = 0
+        for state in ALL_STATES:
+            try:
+                expected = oracle_first_move(*state.as_tuple())
+            except MultiComponentError:
+                continue
+            knots += 1
+            if expected is None:
+                with pytest.raises(TerminalStateError):
+                    next_step(state)
+                continue
+            step = next_step(state)
+            assert (step.kind, step.after.as_tuple(), step.changes) == expected
+        assert knots > 300
+
+    def test_links_raise_with_their_component_count(self):
+        for state in ALL_STATES:
+            components = oracle_cycle_count(state.braid_word())
+            if components == 1:
+                continue
+            with pytest.raises(NotAKnotError) as info:
+                unknotting_sequence(*state.as_tuple())
+            assert info.value.state == state
+            assert info.value.components == components
 
 
 class TestStepValidation:
@@ -219,11 +273,6 @@ class TestVerify:
     def test_verify_row_smoke(self):
         row = verify_row(3, 2, 2)
         assert row.passed and row.lower == row.upper == row.formula == 2
-
-    def test_workers_do_not_change_output(self):
-        serial = verify_theorem2(4)
-        parallel = verify_theorem2(4, workers=2)
-        assert serial == parallel
 
     def test_rejects_tiny_max_i(self):
         with pytest.raises(ValueError):
