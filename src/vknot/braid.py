@@ -7,10 +7,16 @@ swaps.  The closure joins right endpoint m to left endpoint m, so the
 components of the closed-up link are exactly the cycles of the word's
 permutation.  All values are immutable and every operation returns a new
 word, so concurrent use needs no locking.
+
+``BraidLetter`` and ``BraidWord`` are the one place that checks indices and
+strand counts; ``parse_braid`` checks only token syntax.  Each local rewrite
+pattern is one function in ``_LOCAL_MOVES``, which both ``rewrite_moves``
+(where it matches) and ``apply_rewrite`` (where it does not) read.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -57,11 +63,6 @@ class BraidLetter:
         if self.is_virtual:
             return f"v{self.index}"
         return str(self.index if self.sign > 0 else -self.index)
-
-    def inverse(self) -> "BraidLetter":
-        if self.is_virtual:
-            return self
-        return BraidLetter(self.kind, self.index, -self.sign)
 
 
 def classical(index: int, sign: int = 1) -> BraidLetter:
@@ -112,33 +113,33 @@ class BraidWord:
         )
 
 
+_BRAID_TOKEN = re.compile(r"(v|-)?([0-9]+)\Z")
+
+
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """Parse whitespace-separated tokens ``K`` / ``-K`` / ``vK``.
 
     ``K`` is a positive generator, ``-K`` its inverse, ``vK`` a virtual swap.
     When ``strands`` is omitted it is inferred as one more than the largest
-    index (1 for the empty word).
+    index (1 for the empty word).  Only the token syntax is checked here;
+    index and strand-count ranges are BraidLetter's and BraidWord's to check.
     """
-    letters: list[BraidLetter] = []
+    tokens = []
     for token in text.split():
-        if token.startswith("v"):
-            kind, sign, body = LetterKind.VIRTUAL, 1, token[1:]
-        elif token.startswith("-"):
-            kind, sign, body = LetterKind.CLASSICAL, -1, token[1:]
-        else:
-            kind, sign, body = LetterKind.CLASSICAL, 1, token
-        if not body.isdigit() or int(body) < 1:
+        match = _BRAID_TOKEN.match(token)
+        if match is None:
             raise BraidParseError(f"malformed braid token {token!r}")
-        letters.append(BraidLetter(kind, int(body), sign))
-    if strands is None:
-        strands = 1 + max((letter.index for letter in letters), default=0)
-    if strands < 1:
-        raise BraidParseError(f"strand count must be >= 1, got {strands}")
-    for letter in letters:
-        if letter.index >= strands:
-            raise BraidParseError(
-                f"token {letter.token()!r} out of range for {strands} strands")
-    return BraidWord(strands, tuple(letters))
+        tokens.append(match.groups())
+    try:
+        letters = tuple(
+            BraidLetter(LetterKind.VIRTUAL if prefix == "v" else LetterKind.CLASSICAL,
+                        int(digits), -1 if prefix == "-" else 1)
+            for prefix, digits in tokens)
+        if strands is None:
+            strands = 1 + max((letter.index for letter in letters), default=0)
+        return BraidWord(strands, letters)
+    except ValueError as error:
+        raise BraidParseError(str(error)) from None
 
 
 @dataclass(frozen=True)
@@ -264,6 +265,9 @@ class RewriteKind(Enum):
     CONJUGATE = "conjugate"
 
 
+_Letters = tuple[BraidLetter, ...]
+
+
 @dataclass(frozen=True)
 class Rewrite:
     """One closure-preserving move, located by word position.
@@ -277,8 +281,42 @@ class Rewrite:
     sign: int = 1
 
 
-def _mixed_pattern(a: BraidLetter, b: BraidLetter,
-                   c: BraidLetter) -> tuple[BraidLetter, ...] | None:
+def _far_commute(a: BraidLetter, b: BraidLetter) -> _Letters | None:
+    # x_k y_l  <->  y_l x_k  for |k - l| >= 2
+    return (b, a) if abs(a.index - b.index) >= 2 else None
+
+
+def _virtual_cancel(a: BraidLetter, b: BraidLetter) -> _Letters | None:
+    # v_k v_k  ->  empty
+    return () if a.is_virtual and b.is_virtual and a.index == b.index else None
+
+
+def _classical_cancel(a: BraidLetter, b: BraidLetter) -> _Letters | None:
+    # s_k^e s_k^-e  ->  empty
+    ok = (a.is_classical and b.is_classical and a.index == b.index
+          and a.sign == -b.sign)
+    return () if ok else None
+
+
+def _braid_relation(a: BraidLetter, b: BraidLetter, c: BraidLetter) -> _Letters | None:
+    # s_k^e s_{k±1}^e s_k^e  <->  s_{k±1}^e s_k^e s_{k±1}^e
+    if (a.is_classical and b.is_classical and c.is_classical
+            and a.index == c.index and abs(a.index - b.index) == 1
+            and a.sign == b.sign == c.sign):
+        return (classical(b.index, a.sign), classical(a.index, a.sign),
+                classical(b.index, a.sign))
+    return None
+
+
+def _virtual_relation(a: BraidLetter, b: BraidLetter, c: BraidLetter) -> _Letters | None:
+    # v_k v_{k±1} v_k  <->  v_{k±1} v_k v_{k±1}
+    if (a.is_virtual and b.is_virtual and c.is_virtual
+            and a.index == c.index and abs(a.index - b.index) == 1):
+        return (virtual(b.index), virtual(a.index), virtual(b.index))
+    return None
+
+
+def _mixed_pattern(a: BraidLetter, b: BraidLetter, c: BraidLetter) -> _Letters | None:
     # v_k v_{k+1} s_k^e  <->  s_{k+1}^e v_k v_{k+1}
     if (a.is_virtual and b.is_virtual and c.is_classical
             and b.index == a.index + 1 and c.index == a.index):
@@ -289,8 +327,23 @@ def _mixed_pattern(a: BraidLetter, b: BraidLetter,
     return None
 
 
+# Each local rewrite: its window width and the function that returns the
+# window's replacement, or None where the pattern is absent.  Listing order
+# within a window follows this table.
+_LOCAL_MOVES = {
+    RewriteKind.FAR_COMMUTE: (2, _far_commute),
+    RewriteKind.VIRTUAL_CANCEL: (2, _virtual_cancel),
+    RewriteKind.CLASSICAL_CANCEL: (2, _classical_cancel),
+    RewriteKind.BRAID_RELATION: (3, _braid_relation),
+    RewriteKind.VIRTUAL_RELATION: (3, _virtual_relation),
+    RewriteKind.MIXED_RELATION: (3, _mixed_pattern),
+}
+
+
 def rewrite_moves(word: BraidWord, include_insertions: bool = True) -> tuple[Rewrite, ...]:
-    """All rewrites applicable to ``word``, in a fixed deterministic order.
+    """All rewrites applicable to ``word``, in a fixed deterministic order:
+    2-letter moves by position, 3-letter moves by position, conjugation,
+    then insertions.
 
     Pair insertions apply at every position, so they dominate the listing;
     pass ``include_insertions=False`` for only the length-preserving and
@@ -299,25 +352,12 @@ def rewrite_moves(word: BraidWord, include_insertions: bool = True) -> tuple[Rew
     letters = word.letters
     n = len(letters)
     moves: list[Rewrite] = []
-    for pos in range(n - 1):
-        a, b = letters[pos], letters[pos + 1]
-        if abs(a.index - b.index) >= 2:
-            moves.append(Rewrite(RewriteKind.FAR_COMMUTE, pos))
-        if a.is_virtual and b.is_virtual and a.index == b.index:
-            moves.append(Rewrite(RewriteKind.VIRTUAL_CANCEL, pos))
-        if (a.is_classical and b.is_classical and a.index == b.index
-                and a.sign == -b.sign):
-            moves.append(Rewrite(RewriteKind.CLASSICAL_CANCEL, pos))
-    for pos in range(n - 2):
-        a, b, c = letters[pos], letters[pos + 1], letters[pos + 2]
-        if a.index == c.index and abs(a.index - b.index) == 1:
-            if (a.is_classical and b.is_classical and c.is_classical
-                    and a.sign == b.sign == c.sign):
-                moves.append(Rewrite(RewriteKind.BRAID_RELATION, pos))
-            if a.is_virtual and b.is_virtual and c.is_virtual:
-                moves.append(Rewrite(RewriteKind.VIRTUAL_RELATION, pos))
-        if _mixed_pattern(a, b, c) is not None:
-            moves.append(Rewrite(RewriteKind.MIXED_RELATION, pos))
+    for width in (2, 3):
+        for pos in range(n - width + 1):
+            window = letters[pos:pos + width]
+            moves.extend(Rewrite(kind, pos)
+                         for kind, (size, replace) in _LOCAL_MOVES.items()
+                         if size == width and replace(*window) is not None)
     if n >= 1:
         moves.append(Rewrite(RewriteKind.CONJUGATE))
     if include_insertions:
@@ -334,50 +374,14 @@ def apply_rewrite(word: BraidWord, move: Rewrite) -> BraidWord:
     letters = word.letters
     n = len(letters)
     kind, pos = move.kind, move.pos
-
-    def window(size: int) -> tuple[BraidLetter, ...]:
-        if not 0 <= pos <= n - size:
-            raise RewriteError(f"{kind.value} needs {size} letters at position {pos}")
-        return letters[pos:pos + size]
-
-    if kind is RewriteKind.FAR_COMMUTE:
-        a, b = window(2)
-        if abs(a.index - b.index) < 2:
-            raise RewriteError("far commutation needs index distance >= 2")
-        return word.replace(pos, pos + 2, (b, a))
-    if kind is RewriteKind.VIRTUAL_CANCEL:
-        a, b = window(2)
-        if not (a.is_virtual and b.is_virtual and a.index == b.index):
-            raise RewriteError("virtual cancellation needs v_k v_k")
-        return word.replace(pos, pos + 2, ())
-    if kind is RewriteKind.CLASSICAL_CANCEL:
-        a, b = window(2)
-        if not (a.is_classical and b.is_classical and a.index == b.index
-                and a.sign == -b.sign):
-            raise RewriteError("classical cancellation needs an opposite-sign pair")
-        return word.replace(pos, pos + 2, ())
-    if kind is RewriteKind.BRAID_RELATION:
-        a, b, c = window(3)
-        ok = (a.is_classical and b.is_classical and c.is_classical
-              and a.index == c.index and abs(a.index - b.index) == 1
-              and a.sign == b.sign == c.sign)
-        if not ok:
-            raise RewriteError("braid relation needs equal-sign s_k s_{k±1} s_k")
-        return word.replace(pos, pos + 3, (
-            classical(b.index, a.sign), classical(a.index, a.sign),
-            classical(b.index, a.sign)))
-    if kind is RewriteKind.VIRTUAL_RELATION:
-        a, b, c = window(3)
-        if not (a.is_virtual and b.is_virtual and c.is_virtual
-                and a.index == c.index and abs(a.index - b.index) == 1):
-            raise RewriteError("virtual relation needs v_k v_{k±1} v_k")
-        return word.replace(pos, pos + 3,
-                            (virtual(b.index), virtual(a.index), virtual(b.index)))
-    if kind is RewriteKind.MIXED_RELATION:
-        replacement = _mixed_pattern(*window(3))
+    if kind in _LOCAL_MOVES:
+        width, replace = _LOCAL_MOVES[kind]
+        if not 0 <= pos <= n - width:
+            raise RewriteError(f"{kind.value} needs {width} letters at position {pos}")
+        replacement = replace(*letters[pos:pos + width])
         if replacement is None:
-            raise RewriteError("mixed relation pattern not present")
-        return word.replace(pos, pos + 3, replacement)
+            raise RewriteError(f"{kind.value} pattern not present at position {pos}")
+        return word.replace(pos, pos + width, replacement)
     if kind is RewriteKind.VIRTUAL_INSERT:
         if not 0 <= pos <= n or not 1 <= move.index < word.strands:
             raise RewriteError("virtual insertion out of range")

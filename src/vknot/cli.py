@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 strict-mode verification failure or I/O error,
-2 argument or parse errors, 3 multi-component (non-knot) input.
+2 argument or parse errors, 3 multi-component (non-knot) input,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -227,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ invariant downstream is defined cyclically and so cannot depend on them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -43,11 +43,14 @@ class GaussDiagram:
     """Cyclic endpoint sequence with one sign per chord.
 
     Chord ids are dense integers in [0, n_chords); each id appears exactly
-    once with each role.
+    once with each role.  The walk that checks this also records where
+    each chord's over and under endpoints sit.
     """
 
     endpoints: tuple[tuple[int, Role], ...]
     signs: tuple[int, ...]
+    _positions: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "endpoints", tuple(self.endpoints))
@@ -55,16 +58,17 @@ class GaussDiagram:
         n = len(self.signs)
         if len(self.endpoints) != 2 * n:
             raise ValueError("endpoint sequence must list every chord twice")
-        has_over, has_under = [False] * n, [False] * n
-        for chord, role in self.endpoints:
+        over, under = [-1] * n, [-1] * n
+        for position, (chord, role) in enumerate(self.endpoints):
             if not 0 <= chord < n:
                 raise ValueError(f"chord id {chord} out of range for {n} chords")
-            seen = has_over if role is Role.OVER else has_under
-            if seen[chord]:
+            seen = over if role is Role.OVER else under
+            if seen[chord] >= 0:
                 raise ValueError(f"chord {chord} repeats role {role.value}")
-            seen[chord] = True
+            seen[chord] = position
         if any(sign not in (1, -1) for sign in self.signs):
             raise ValueError("chord signs must be +1 or -1")
+        object.__setattr__(self, "_positions", (tuple(over), tuple(under)))
 
     @property
     def n_chords(self) -> int:
@@ -74,16 +78,9 @@ class GaussDiagram:
         if not isinstance(chord, int) or not 0 <= chord < self.n_chords:
             raise ValueError(f"invalid chord reference {chord!r}")
 
-    def chord_positions(self) -> tuple[list[int], list[int]]:
+    def chord_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Positions of every chord's (over, under) endpoint, indexed by id."""
-        over = [-1] * self.n_chords
-        under = [-1] * self.n_chords
-        for position, (chord, role) in enumerate(self.endpoints):
-            if role is Role.OVER:
-                over[chord] = position
-            else:
-                under[chord] = position
-        return over, under
+        return self._positions
 
 
 def gauss_from_closure(word: BraidWord) -> GaussDiagram:
@@ -279,7 +276,10 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         if match is None:
             raise GaussCodeError(f"malformed Gauss-code token {token!r}")
         role = Role.OVER if match.group(1) == "O" else Role.UNDER
-        label = int(match.group(2))
+        try:
+            label = int(match.group(2))
+        except ValueError as error:  # more digits than int() converts
+            raise GaussCodeError(str(error)) from None
         if label < 1:
             raise GaussCodeError(f"labels are 1-based, got {token!r}")
         entries.append((label, role, 1 if match.group(3) == "+" else -1))

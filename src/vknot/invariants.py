@@ -3,22 +3,26 @@
 Two polynomials are computed here.  ``p_invariant`` weights every chord by
 the signed count of chords linked with it; half its absolute coefficient sum
 bounds the number of crossing changes needed to undo the knot from below.
-``u_invariant`` first normalizes all signs to +1 and then weights every
-chord by the net crossing direction of the chords over it; it is unchanged
-by crossing changes, so any nonzero value certifies that no amount of
-crossing changing can reach the unknot.
+``u_invariant`` weights every chord by the net crossing direction of the
+chords over it, read as if every sign were +1; it is unchanged by crossing
+changes, so any nonzero value certifies that no amount of crossing changing
+can reach the unknot.
 
 Both indices are arc sums.  Give every endpoint a weight: +sign at an over
-endpoint, -sign at an under endpoint (on the normalized diagram for ``u``,
-so +1 and -1).  A chord with both endpoints strictly inside chord c's open
-arc from its over to its under endpoint adds +w and -w, and one with
-neither adds nothing, so c's index is just the weight sum inside that arc.
-The weights around the whole circle sum to zero, so one prefix-sum pass
-gives every chord's index in linear time, whether or not its arc wraps past
-the basepoint; everything is cyclic, so basepoint choices never matter.
-The orientation convention that decides which crossing direction counts as
-positive for ``u`` fixes only a global sign; ``negate=True`` selects the
-mirror convention.
+endpoint, -sign at an under endpoint.  A chord with both endpoints strictly
+inside chord c's open arc from its over to its under endpoint adds +w and
+-w, and one with neither adds nothing, so c's index i(c) is just the weight
+sum inside that arc.  The weights around the whole circle sum to zero, so
+one prefix-sum pass gives every chord's index in linear time, whether or not
+its arc wraps past the basepoint; everything is cyclic, so basepoint choices
+never matter.
+
+Flipping a negative chord to make it positive leaves every endpoint weight
+where it was and swaps the chord's arc for the complementary one, whose
+weights sum to -i(c).  So u's crossing index is n(c) = sign(c) * i(c), read
+off the same arc sums on the diagram as given.  The orientation convention
+that decides which crossing direction counts as positive for ``u`` fixes
+only a global sign; negating the polynomial gives the mirror convention.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .gauss import GaussDiagram, Role, normalize_positive
+from .gauss import GaussDiagram, Role
 
 
 @dataclass(frozen=True)
@@ -183,13 +187,12 @@ def crossing_index(diagram: GaussDiagram, chord: int) -> int:
     return _arc_sums(diagram)[chord]
 
 
-def u_invariant(diagram: GaussDiagram, negate: bool = False) -> IndexPolynomial:
-    """Sum of sign(n(c)) * t^|n(c)| over the sign-normalized diagram.
+def u_invariant(diagram: GaussDiagram) -> IndexPolynomial:
+    """Sum of sign(n(c)) * t^|n(c)| with n(c) = sign(c) * chord_index(c).
 
-    Crossing changes leave the normalized diagram untouched, so this value
-    is exactly invariant under them.  ``negate`` picks the mirror of the
-    crossing-direction convention, negating every coefficient.
+    n(c) is the crossing index of c on the sign-normalized diagram, which
+    crossing changes leave untouched, so this value is exactly invariant
+    under them.
     """
-    values = _arc_sums(normalize_positive(diagram))
-    unit = -1 if negate else 1
-    return _index_polynomial(values, (unit if v > 0 else -unit for v in values))
+    values = [s * v for s, v in zip(diagram.signs, _arc_sums(diagram))]
+    return _index_polynomial(values, (1 if v > 0 else -1 for v in values))

@@ -42,23 +42,17 @@ def virtualize_subset(p: int, q: int, subset: Iterable[int]) -> BraidWord:
 
     Positions index the (p-1)q classical letters in word order from 0.
     """
-    if p < 2 or q < 2:
+    letters = torus_word(p, q).letters
+    if q < 2:
         raise ValueError(f"need p >= 2 and q >= 2, got ({p},{q})")
-    total = (p - 1) * q
     chosen: set[int] = set()
     for position in subset:
-        if not 0 <= position < total:
+        if not 0 <= position < len(letters):
             raise ValueError(
-                f"position {position} out of range for {total} crossings")
+                f"position {position} out of range for {len(letters)} crossings")
         chosen.add(position)
-    letters = []
-    position = 0
-    for _ in range(q):
-        for index in range(1, p):
-            letters.append(virtual(index) if position in chosen
-                           else classical(index))
-            position += 1
-    return BraidWord(p, tuple(letters))
+    return BraidWord(p, tuple(virtual(letter.index) if position in chosen else letter
+                              for position, letter in enumerate(letters)))
 
 
 @dataclass(frozen=True)
@@ -182,15 +176,9 @@ def default_table_pairs(max_p: int) -> list[tuple[int, int]]:
 
 def table_vt2(pairs: Iterable[tuple[int, int]]) -> list[TableRow]:
     """Half the absolute coefficient sum of P for each doubly-virtualized
-    torus knot."""
+    torus knot; make_vt rejects q < 2 and the trace a (p, q) link."""
     rows = []
     for p, q in pairs:
-        if q < 2:
-            raise ValueError(f"need q >= 2, got ({p},{q})")
-        common = gcd(p, q)
-        if common != 1:
-            raise ValueError(
-                f"({p},{q}) closes to a {common}-component link, not a knot")
         total = p_invariant(gauss_from_closure(make_vt(p, q, 2)))
         s = total.abs_coefficient_sum()
         rows.append(TableRow(p, q, s // 2 if s % 2 == 0 else s / 2))

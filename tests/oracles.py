@@ -5,10 +5,11 @@ package code: permutations as image dicts instead of occupant arrays, the
 closure trace both as per-strand event lists spliced along the closure and
 as one walker making a full pass over the word per strand, arc membership
 as literal position sets, the cancelling-pair matcher as an
-all-pairings search, and the unknotting moves as if-chains.
+all-pairings search, and the braid rewrites and unknotting moves as
+if-chains.
 """
 
-from vknot.braid import BraidWord, make_ijk
+from vknot.braid import BraidWord, Rewrite, RewriteKind, make_ijk
 from vknot.gauss import GaussDiagram, MultiComponentError, Role
 from vknot.unknotting import IJKState, StepKind, UnknottingSequence
 
@@ -107,6 +108,45 @@ def oracle_strand_walk(word: BraidWord) -> list[tuple[int, str, int]]:
                 position -= 1
     assert position == 1, "knot traversal must close up at the basepoint"
     return sequence
+
+
+def oracle_rewrite_moves(word: BraidWord,
+                         include_insertions: bool = True) -> tuple[Rewrite, ...]:
+    """The rewrite listing as per-position if-chains, in the library's order."""
+    letters = word.letters
+    n = len(letters)
+    moves: list[Rewrite] = []
+    for pos in range(n - 1):
+        a, b = letters[pos], letters[pos + 1]
+        if abs(a.index - b.index) >= 2:
+            moves.append(Rewrite(RewriteKind.FAR_COMMUTE, pos))
+        if a.is_virtual and b.is_virtual and a.index == b.index:
+            moves.append(Rewrite(RewriteKind.VIRTUAL_CANCEL, pos))
+        if (a.is_classical and b.is_classical and a.index == b.index
+                and a.sign == -b.sign):
+            moves.append(Rewrite(RewriteKind.CLASSICAL_CANCEL, pos))
+    for pos in range(n - 2):
+        a, b, c = letters[pos], letters[pos + 1], letters[pos + 2]
+        if a.index == c.index and abs(a.index - b.index) == 1:
+            if (a.is_classical and b.is_classical and c.is_classical
+                    and a.sign == b.sign == c.sign):
+                moves.append(Rewrite(RewriteKind.BRAID_RELATION, pos))
+            if a.is_virtual and b.is_virtual and c.is_virtual:
+                moves.append(Rewrite(RewriteKind.VIRTUAL_RELATION, pos))
+        if ((a.is_virtual and b.is_virtual and c.is_classical
+             and b.index == a.index + 1 and c.index == a.index)
+                or (a.is_classical and b.is_virtual and c.is_virtual
+                    and a.index == b.index + 1 and c.index == b.index + 1)):
+            moves.append(Rewrite(RewriteKind.MIXED_RELATION, pos))
+    if n >= 1:
+        moves.append(Rewrite(RewriteKind.CONJUGATE))
+    if include_insertions:
+        for pos in range(n + 1):
+            for index in range(1, word.strands):
+                moves.append(Rewrite(RewriteKind.VIRTUAL_INSERT, pos, index))
+                moves.append(Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, 1))
+                moves.append(Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, -1))
+    return tuple(moves)
 
 
 def _position_table(diagram: GaussDiagram) -> dict[int, dict[str, int]]:

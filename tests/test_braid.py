@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from vknot.braid import (
     BraidParseError,
@@ -22,7 +23,7 @@ from vknot.braid import (
     rewrite_moves,
 )
 
-from oracles import oracle_cycle_count, oracle_permutation
+from oracles import oracle_cycle_count, oracle_permutation, oracle_rewrite_moves
 from strategies import braid_words
 
 
@@ -55,6 +56,24 @@ class TestParse:
     def test_bad_strand_count(self):
         with pytest.raises(BraidParseError):
             parse_braid("1", strands=0)
+
+    @pytest.mark.parametrize("text", [
+        "²",              # superscript digit: int() refuses it
+        "١ 1",            # Arabic-Indic digit: int() reads it as 1
+        "1" * 5000,       # more digits than int() converts
+        "v" + "1" * 5000,
+    ], ids=["superscript", "arabic-indic", "5000-digits", "v-5000-digits"])
+    def test_non_ascii_and_overlong_indices(self, text):
+        with pytest.raises(BraidParseError):
+            parse_braid(text)
+
+    @given(st.one_of(st.text(), st.text(alphabet="v-0123456789²١ ")),
+           st.one_of(st.none(), st.integers(-2, 12)))
+    def test_arbitrary_text_raises_only_parse_errors(self, text, strands):
+        try:
+            parse_braid(text, strands)
+        except BraidParseError:
+            pass
 
     @given(braid_words())
     def test_roundtrip(self, word):
@@ -236,6 +255,37 @@ class TestRewrites:
             if move.kind in involutive:
                 once = apply_rewrite(word, move)
                 assert apply_rewrite(once, move) == word
+
+    @given(braid_words())
+    def test_listing_matches_the_if_chain_oracle(self, word):
+        assert rewrite_moves(word) == oracle_rewrite_moves(word)
+        assert (rewrite_moves(word, include_insertions=False)
+                == oracle_rewrite_moves(word, include_insertions=False))
+
+    @given(braid_words(max_len=8))
+    def test_applies_exactly_where_listed(self, word):
+        listed = set(rewrite_moves(word))
+        n = len(word)
+        candidates = [Rewrite(kind, pos)
+                      for kind in (RewriteKind.FAR_COMMUTE, RewriteKind.VIRTUAL_CANCEL,
+                                   RewriteKind.CLASSICAL_CANCEL,
+                                   RewriteKind.BRAID_RELATION,
+                                   RewriteKind.VIRTUAL_RELATION,
+                                   RewriteKind.MIXED_RELATION)
+                      for pos in range(-1, n + 2)]
+        candidates.append(Rewrite(RewriteKind.CONJUGATE))
+        for pos in range(-1, n + 2):
+            for index in range(word.strands + 1):
+                candidates.append(Rewrite(RewriteKind.VIRTUAL_INSERT, pos, index))
+                for sign in (1, -1):
+                    candidates.append(
+                        Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, sign))
+        for move in candidates:
+            if move in listed:
+                apply_rewrite(word, move)
+            else:
+                with pytest.raises(RewriteError):
+                    apply_rewrite(word, move)
 
     def test_conjugation_orbit_returns(self):
         word = parse_braid("v1 v2 1 2", 3)

@@ -265,6 +265,26 @@ class TestScan:
         assert target.read_bytes() == b"old line\n"
         assert os.listdir(tmp_path) == ["records.jsonl"]
 
+    def test_interrupted_jsonl_scan_exits_130_and_keeps_target(
+            self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "records.jsonl"
+        target.write_bytes(b"old line\n")
+
+        def records(*args):
+            yield from scan_torus_virtualizations(3, 2, 5)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("vknot.cli.scan_torus_virtualizations", records)
+        try:
+            code, out, err = run(capsys, "scan", "--p", "3", "--q", "2",
+                                 "--jsonl", str(target))
+        except KeyboardInterrupt:  # escaping would stop the whole test run
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130 and out == ""
+        assert err == "error: interrupted\n"
+        assert target.read_bytes() == b"old line\n"
+        assert os.listdir(tmp_path) == ["records.jsonl"]
+
     def test_oversized_scan_needs_limit(self, capsys):
         code, _, err = run(capsys, "scan", "--p", "4", "--q", "6")
         assert code == 2 and "limit" in err

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from vknot.braid import make_ijk, make_vt, parse_braid
 from vknot.gauss import (
@@ -26,8 +27,8 @@ from vknot.gauss import (
     simplify,
 )
 
-from oracles import (diagram_from_layout, oracle_cycle_count, oracle_strand_walk,
-                     oracle_trace, r1_chords, r2_removable_pairs)
+from oracles import (_position_table, diagram_from_layout, oracle_cycle_count,
+                     oracle_strand_walk, oracle_trace, r1_chords, r2_removable_pairs)
 from strategies import braid_words, gauss_diagrams, knot_words
 
 
@@ -73,6 +74,28 @@ class TestTrace:
     def test_empty_word_on_one_strand_is_the_unknot(self):
         diagram = gauss_from_closure(parse_braid("", strands=1))
         assert diagram.n_chords == 0
+
+
+class TestChordPositions:
+    @given(gauss_diagrams())
+    def test_match_the_position_table(self, diagram):
+        over, under = diagram.chord_positions()
+        table = _position_table(diagram)
+        assert over == tuple(table[c]["O"] for c in range(diagram.n_chords))
+        assert under == tuple(table[c]["U"] for c in range(diagram.n_chords))
+
+    @pytest.mark.parametrize("endpoints", [
+        ((0, Role.OVER), (0, Role.OVER)),
+        ((0, Role.UNDER), (1, Role.OVER), (0, Role.UNDER), (1, Role.UNDER)),
+    ])
+    def test_repeated_role_still_raises(self, endpoints):
+        with pytest.raises(ValueError, match="repeats role"):
+            GaussDiagram(endpoints, (1,) * (len(endpoints) // 2))
+
+    def test_positions_are_not_compared(self):
+        diagram = parse_gauss_code("O1+ U2- O2- U1+")
+        assert diagram == GaussDiagram(diagram.endpoints, diagram.signs)
+        assert "_positions" not in repr(diagram)
 
 
 class TestFlipNormalize:
@@ -261,6 +284,22 @@ class TestGaussCode:
     def test_rejects_malformed(self, text):
         with pytest.raises(GaussCodeError):
             parse_gauss_code(text)
+
+    @pytest.mark.parametrize("text", [
+        "O²+ U²+",                          # superscript digit
+        "O١+ U١+",                          # Arabic-Indic digit
+        f"O{'1' * 5000}+ U{'1' * 5000}+",   # more digits than int() converts
+    ], ids=["superscript", "arabic-indic", "5000-digits"])
+    def test_rejects_non_ascii_and_overlong_labels(self, text):
+        with pytest.raises(GaussCodeError):
+            parse_gauss_code(text)
+
+    @given(st.one_of(st.text(), st.text(alphabet="OU+-0123456789²١ ")))
+    def test_arbitrary_text_raises_only_gauss_code_errors(self, text):
+        try:
+            parse_gauss_code(text)
+        except GaussCodeError:
+            pass
 
     def test_sparse_labels_relabelled_densely(self):
         diagram = parse_gauss_code("O7+ U9- O9- U7+")

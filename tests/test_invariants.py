@@ -198,8 +198,13 @@ class TestUInvariant:
             assert u_invariant(flip(diagram, chord)) == baseline
 
     @given(gauss_diagrams())
-    def test_negate_flag_mirrors(self, diagram):
-        assert u_invariant(diagram, negate=True) == -u_invariant(diagram)
+    def test_matches_brute_force_on_the_normalized_diagram(self, diagram):
+        # u reads P's arc sums: its crossing index is sign(c) * i(c)
+        assert u_invariant(diagram) == poly(brute_u_coefficients(diagram))
+        normalized = normalize_positive(diagram)
+        for chord in range(diagram.n_chords):
+            assert (crossing_index(normalized, chord)
+                    == diagram.signs[chord] * chord_index(diagram, chord))
 
     @given(gauss_diagrams())
     def test_basepoint_rotation_invariance(self, diagram):
@@ -216,7 +221,7 @@ class TestUInvariant:
         value = u_invariant(diagram)
         assert value == poly({2: -1, 1: 2})
         assert value.abs_coefficients() == {2: 1, 1: 2}
-        assert u_invariant(diagram, negate=True) == poly({2: 1, 1: -2})
+        assert -u_invariant(diagram) == poly({2: 1, 1: -2})
 
 
 def seeded_torus_word(strands, seed, virtual_share=0.15):
