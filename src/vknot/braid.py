@@ -221,36 +221,56 @@ def make_ijk(i: int, j: int, k: int) -> BraidWord:
     return BraidWord(i, tuple(letters))
 
 
-def permutation(word: BraidWord) -> tuple[int, ...]:
-    """Right endpoint position of each strand, letters applied left to right.
+def _ijk_indices(i: int, j: int, k: int) -> list[int]:
+    """The letter indices of make_ijk(i, j, k), which are all its closure's
+    component count needs: j ascending blocks, then k, k-1, ..., 1."""
+    return list(range(1, i)) * j + list(range(k, 0, -1))
 
-    Entry m-1 is the 1-based position where the strand entering at position m
-    exits on the right; classical and virtual letters both transpose.
-    """
-    occupant = list(range(word.strands))
-    for letter in word.letters:
-        a = letter.index - 1
+
+def _exit_positions(strands: int, indices: Iterable[int]) -> list[int]:
+    """0-based exit position of each strand (named by its 0-based entry
+    position) after swapping positions index and index + 1 for each 1-based
+    letter index in turn."""
+    occupant = list(range(strands))
+    for index in indices:
+        a = index - 1
         occupant[a], occupant[a + 1] = occupant[a + 1], occupant[a]
-    result = [0] * word.strands
+    exit_of = [0] * strands
     for position, start in enumerate(occupant):
-        result[start] = position + 1
-    return tuple(result)
+        exit_of[start] = position
+    return exit_of
 
 
-def component_count(word: BraidWord) -> int:
-    """Number of components of the word's closure (cycles of the permutation)."""
-    perm = permutation(word)
-    seen = [False] * word.strands
+def _cycle_count(strands: int, indices: Iterable[int]) -> int:
+    """Closure components of a word given by its letters' indices alone:
+    classical and virtual letters permute the strands alike."""
+    exit_of = _exit_positions(strands, indices)
+    seen = [False] * strands
     cycles = 0
-    for start in range(word.strands):
+    for start in range(strands):
         if seen[start]:
             continue
         cycles += 1
         m = start
         while not seen[m]:
             seen[m] = True
-            m = perm[m] - 1
+            m = exit_of[m]
     return cycles
+
+
+def permutation(word: BraidWord) -> tuple[int, ...]:
+    """Right endpoint position of each strand, letters applied left to right.
+
+    Entry m-1 is the 1-based position where the strand entering at position m
+    exits on the right; classical and virtual letters both transpose.
+    """
+    exit_of = _exit_positions(word.strands, (letter.index for letter in word.letters))
+    return tuple(position + 1 for position in exit_of)
+
+
+def component_count(word: BraidWord) -> int:
+    """Number of components of the word's closure (cycles of the permutation)."""
+    return _cycle_count(word.strands, (letter.index for letter in word.letters))
 
 
 class RewriteKind(Enum):
@@ -272,7 +292,9 @@ _Letters = tuple[BraidLetter, ...]
 class Rewrite:
     """One closure-preserving move, located by word position.
 
-    ``index`` and ``sign`` only matter for insertions.
+    ``index`` is set only for insertions and ``sign`` only for classical
+    insertions; conjugation always has ``pos`` 0.  ``apply_rewrite``
+    refuses any other value of those fields, so each move has one value.
     """
 
     kind: RewriteKind
@@ -374,6 +396,12 @@ def apply_rewrite(word: BraidWord, move: Rewrite) -> BraidWord:
     letters = word.letters
     n = len(letters)
     kind, pos = move.kind, move.pos
+    # one Rewrite value per move: fields the kind does not use keep their defaults
+    if move.sign != 1 and kind is not RewriteKind.CLASSICAL_INSERT:
+        raise RewriteError(f"{kind.value} takes no sign, got {move.sign}")
+    if move.index != 0 and kind not in (RewriteKind.VIRTUAL_INSERT,
+                                        RewriteKind.CLASSICAL_INSERT):
+        raise RewriteError(f"{kind.value} takes no index, got {move.index}")
     if kind in _LOCAL_MOVES:
         width, replace = _LOCAL_MOVES[kind]
         if not 0 <= pos <= n - width:
@@ -395,5 +423,7 @@ def apply_rewrite(word: BraidWord, move: Rewrite) -> BraidWord:
     if kind is RewriteKind.CONJUGATE:
         if n == 0:
             raise RewriteError("cannot conjugate the empty word")
+        if pos != 0:
+            raise RewriteError(f"conjugation is listed at position 0, got {pos}")
         return BraidWord(word.strands, letters[1:] + letters[:1])
     raise RewriteError(f"unknown rewrite kind {kind!r}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .gauss import GaussDiagram, Role
 
@@ -113,17 +113,28 @@ def poly_to_string(poly: IndexPolynomial) -> str:
     return " ".join(parts)
 
 
-def _arc_sums(diagram: GaussDiagram) -> list[int]:
+def _endpoint_weights(diagram: GaussDiagram) -> list[int]:
+    """+sign at every over endpoint and -sign at every under endpoint, in
+    circle order."""
+    signs = diagram.signs
+    return [signs[chord] if role is Role.OVER else -signs[chord]
+            for chord, role in diagram.endpoints]
+
+
+def _arc_sums(diagram: GaussDiagram,
+              weights: list[int] | None = None) -> list[int]:
     """Every chord's endpoint weight sum strictly inside its over -> under arc.
 
     Endpoints weigh +sign (over) and -sign (under), so the circle sums to
     zero and the open arc (o, u) sums to prefix[u] - prefix[o + 1] even when
-    it wraps past the basepoint.
+    it wraps past the basepoint.  ``weights`` replaces those endpoint
+    weights: with some chords' weights set to 0 the circle still sums to
+    zero, and every other chord's sum is its index in the diagram without
+    those chords.
     """
     over, under = diagram.chord_positions()
-    signs = diagram.signs
-    prefix = [0, *accumulate([signs[chord] if role is Role.OVER else -signs[chord]
-                              for chord, role in diagram.endpoints])]
+    prefix = [0, *accumulate(_endpoint_weights(diagram) if weights is None
+                             else weights)]
     return [prefix[u] - prefix[o + 1] for o, u in zip(over, under)]
 
 
@@ -136,6 +147,46 @@ def _index_polynomial(values: list[int],
             m = abs(value)
             coefficients[m] = coefficients.get(m, 0) + weight
     return IndexPolynomial.from_coefficients(coefficients)
+
+
+def _u_polynomial(values: list[int], signs: Iterable[int]) -> IndexPolynomial:
+    """u from the chords' arc sums: n(c) = sign(c) * i(c), weighted by its sign."""
+    crossing = [s * v for s, v in zip(signs, values)]
+    return _index_polynomial(crossing, (1 if n > 0 else -1 for n in crossing))
+
+
+def _invariants_without(diagram: GaussDiagram) -> Callable[
+        [Sequence[int]], tuple[IndexPolynomial, IndexPolynomial]]:
+    """A function from a set of chord ids to (u, P) of ``diagram`` without
+    those chords, equal to the invariants of ``remove_chords``'s diagram.
+
+    Removing a chord only removes its two endpoint weights, so every other
+    chord's index is its arc sum with those weights set to 0, and no smaller
+    diagram is built.  The remaining chords' (index, sign) pairs with
+    nonzero index fix both polynomials, so each distinct multiset of pairs
+    is assembled once for as long as the returned function is kept.
+    """
+    over, under = diagram.chord_positions()
+    signs = diagram.signs
+    base_weights = _endpoint_weights(diagram)
+    memo: dict[tuple[tuple[int, int], ...],
+               tuple[IndexPolynomial, IndexPolynomial]] = {}
+
+    def invariants(chords: Sequence[int]) -> tuple[IndexPolynomial, IndexPolynomial]:
+        weights = base_weights.copy()
+        for chord in chords:
+            weights[over[chord]] = weights[under[chord]] = 0
+        values = _arc_sums(diagram, weights)
+        for chord in chords:
+            values[chord] = 0
+        key = tuple(sorted(pair for pair in zip(values, signs) if pair[0]))
+        u_and_p = memo.get(key)
+        if u_and_p is None:
+            u_and_p = memo[key] = (_u_polynomial(values, signs),
+                                   _index_polynomial(values, signs))
+        return u_and_p
+
+    return invariants
 
 
 def chord_index(diagram: GaussDiagram, chord: int) -> int:
@@ -194,5 +245,4 @@ def u_invariant(diagram: GaussDiagram) -> IndexPolynomial:
     crossing changes leave untouched, so this value is exactly invariant
     under them.
     """
-    values = [s * v for s, v in zip(diagram.signs, _arc_sums(diagram))]
-    return _index_polynomial(values, (1 if v > 0 else -1 for v in values))
+    return _u_polynomial(_arc_sums(diagram), diagram.signs)

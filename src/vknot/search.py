@@ -16,8 +16,8 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .braid import BraidWord, classical, make_vt, virtual
-from .gauss import MultiComponentError, gauss_from_closure, remove_chords
-from .invariants import IndexPolynomial, p_invariant, u_invariant
+from .gauss import MultiComponentError, gauss_from_closure
+from .invariants import IndexPolynomial, _invariants_without, p_invariant
 
 # Without an explicit limit, refuse scans beyond this many crossing positions
 # (2^16 subsets enumerate in seconds; anything larger is an explicit opt-in).
@@ -86,15 +86,19 @@ def scan_torus_virtualizations(p: int, q: int,
     """Enumerate virtualization subsets by size, then lexicographically.
 
     Emits one record per subset; u and P are computed only when the closure
-    is a knot.  ``limit`` truncates the enumeration after that many subsets
-    and is required once (p-1)q exceeds DEFAULT_SCAN_BITS.
+    is a knot.  ``limit`` (>= 0) truncates the enumeration after that many
+    subsets and is required once (p-1)q exceeds DEFAULT_SCAN_BITS.
 
     Virtual and classical letters permute the strands alike, so every
     subset closes like ``torus_word(p, q)``, and its diagram is that one
-    traced diagram with the subset's chords removed.
+    traced diagram with the subset's chords removed.  ``_invariants_without``
+    reads that diagram's u and P off the traced diagram's endpoint weights,
+    without building it.
     """
     if p < 2 or q < 2:
         raise ValueError(f"need p >= 2 and q >= 2, got ({p},{q})")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     total = (p - 1) * q
     if limit is None and total > DEFAULT_SCAN_BITS:
         raise ValueError(
@@ -104,18 +108,16 @@ def scan_torus_virtualizations(p: int, q: int,
         base, components = gauss_from_closure(torus_word(p, q)), 1
     except MultiComponentError as error:
         base, components = None, error.components
-    remaining = limit if limit is not None else 1 << total
-    for size in range(total + 1):
-        for subset in itertools.combinations(range(total), size):
-            if remaining <= 0:
-                return
-            remaining -= 1
-            if base is None:
-                yield ScanRecord(subset, components, None, None)
-            else:
-                diagram = remove_chords(base, subset)
-                yield ScanRecord(subset, 1, u_invariant(diagram),
-                                 p_invariant(diagram))
+    subsets = itertools.islice(
+        (subset for size in range(total + 1)
+         for subset in itertools.combinations(range(total), size)), limit)
+    if base is None:
+        for subset in subsets:
+            yield ScanRecord(subset, components, None, None)
+        return
+    invariants_without = _invariants_without(base)
+    for subset in subsets:
+        yield ScanRecord(subset, 1, *invariants_without(subset))
 
 
 @dataclass

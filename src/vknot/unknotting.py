@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-from .braid import BraidWord, component_count, make_ijk
+from .braid import (BraidWord, _cycle_count, _ijk_indices, component_count,
+                    make_ijk)
 from .gauss import GaussDiagram, MultiComponentError, gauss_from_closure
 from .invariants import u_invariant, vu_lower_bound
 
@@ -214,7 +215,7 @@ def knot_parameter_triples(max_i: int) -> Iterator[tuple[int, int, int]]:
     for i in range(2, max_i + 1):
         for j in range(1, i + 1):
             for k in range(i):
-                if component_count(make_ijk(i, j, k)) == 1:
+                if _cycle_count(i, _ijk_indices(i, j, k)) == 1:
                     yield (i, j, k)
 
 

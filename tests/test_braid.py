@@ -14,6 +14,8 @@ from vknot.braid import (
     Rewrite,
     RewriteError,
     RewriteKind,
+    _cycle_count,
+    _ijk_indices,
     apply_rewrite,
     component_count,
     make_ijk,
@@ -22,6 +24,7 @@ from vknot.braid import (
     permutation,
     rewrite_moves,
 )
+from vknot.unknotting import knot_parameter_triples
 
 from oracles import oracle_cycle_count, oracle_permutation, oracle_rewrite_moves
 from strategies import braid_words
@@ -176,6 +179,18 @@ class TestComponents:
     def test_matches_cycle_oracle(self, word):
         assert component_count(word) == oracle_cycle_count(word)
 
+    def test_knot_triples_match_the_ijk_words(self):
+        expected = [(i, j, k) for i in range(2, 17) for j in range(1, i + 1)
+                    for k in range(i) if component_count(make_ijk(i, j, k)) == 1]
+        assert list(knot_parameter_triples(16)) == expected
+        for i in range(1, 17):
+            for j in range(1, i + 1):
+                for k in range(i):
+                    word = make_ijk(i, j, k)
+                    indices = _ijk_indices(i, j, k)
+                    assert indices == [letter.index for letter in word.letters]
+                    assert _cycle_count(i, indices) == component_count(word)
+
     def test_one_component_ijk_has_even_crossings(self):
         for i in range(2, 13):
             for j in range(1, i + 1):
@@ -266,18 +281,21 @@ class TestRewrites:
     def test_applies_exactly_where_listed(self, word):
         listed = set(rewrite_moves(word))
         n = len(word)
-        candidates = [Rewrite(kind, pos)
+        # the fields a kind does not use are tried away from their defaults
+        candidates = [Rewrite(kind, pos, index, sign)
                       for kind in (RewriteKind.FAR_COMMUTE, RewriteKind.VIRTUAL_CANCEL,
                                    RewriteKind.CLASSICAL_CANCEL,
                                    RewriteKind.BRAID_RELATION,
                                    RewriteKind.VIRTUAL_RELATION,
-                                   RewriteKind.MIXED_RELATION)
-                      for pos in range(-1, n + 2)]
-        candidates.append(Rewrite(RewriteKind.CONJUGATE))
+                                   RewriteKind.MIXED_RELATION,
+                                   RewriteKind.CONJUGATE)
+                      for pos in range(-1, n + 2)
+                      for index, sign in ((0, 1), (1, 1), (0, -1))]
         for pos in range(-1, n + 2):
             for index in range(word.strands + 1):
-                candidates.append(Rewrite(RewriteKind.VIRTUAL_INSERT, pos, index))
                 for sign in (1, -1):
+                    candidates.append(
+                        Rewrite(RewriteKind.VIRTUAL_INSERT, pos, index, sign))
                     candidates.append(
                         Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, sign))
         for move in candidates:

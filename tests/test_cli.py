@@ -285,6 +285,28 @@ class TestScan:
         assert target.read_bytes() == b"old line\n"
         assert os.listdir(tmp_path) == ["records.jsonl"]
 
+    def test_negative_limit_exits_2_and_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "scan", "--p", "5", "--q", "4",
+                             "--limit", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: limit must be >= 0, got -3\n"
+
+    def test_negative_limit_leaves_jsonl_target_untouched(self, capsys, tmp_path):
+        target = tmp_path / "records.jsonl"
+        target.write_bytes(b"old line\n")
+        code, out, err = run(capsys, "scan", "--p", "5", "--q", "4",
+                             "--limit", "-3", "--jsonl", str(target))
+        assert code == 2 and out == "" and "limit" in err
+        assert target.read_bytes() == b"old line\n"
+        assert os.listdir(tmp_path) == ["records.jsonl"]
+
+    def test_zero_limit_prints_the_summary_only(self, capsys):
+        code, out, _ = run(capsys, "scan", "--p", "5", "--q", "4", "--limit", "0")
+        assert code == 0
+        assert json.loads(out) == {"summary": {
+            "subsets": 0, "knots": 0, "nonzero_u": 0,
+            "pattern_attained": False, "first_nonzero_u": None}}
+
     def test_oversized_scan_needs_limit(self, capsys):
         code, _, err = run(capsys, "scan", "--p", "4", "--q", "6")
         assert code == 2 and "limit" in err

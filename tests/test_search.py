@@ -1,10 +1,15 @@
 """Virtualization scans and the half-sum table."""
 
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vknot.braid import make_vt
-from vknot.gauss import MultiComponentError, gauss_from_closure
-from vknot.invariants import p_invariant, u_invariant
+from vknot.gauss import MultiComponentError, gauss_from_closure, remove_chords
+from vknot.invariants import (_arc_sums, _endpoint_weights, _invariants_without,
+                              p_invariant, u_invariant)
 from vknot.search import (
     ScanRecord,
     default_table_pairs,
@@ -15,6 +20,8 @@ from vknot.search import (
     torus_word,
     virtualize_subset,
 )
+
+from strategies import gauss_diagrams
 
 TABLE_VALUES = {
     (3, 2): 0, (4, 3): 1, (5, 2): 0, (5, 3): 2, (5, 4): 4, (6, 5): 7,
@@ -77,6 +84,12 @@ class TestScan:
 
     def test_limit_truncates(self):
         assert len(list(scan_torus_virtualizations(3, 2, limit=5))) == 5
+        assert list(scan_torus_virtualizations(3, 2, limit=0)) == []
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (4, 2)])
+    def test_negative_limit_rejected(self, p, q):
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            list(scan_torus_virtualizations(p, q, limit=-3))
 
     def test_determinism(self):
         first = list(scan_torus_virtualizations(3, 4, limit=200))
@@ -125,6 +138,33 @@ class TestScan:
             "subsets": 16, "knots": 16, "nonzero_u": 0,
             "pattern_attained": False, "first_nonzero_u": None,
         }
+
+
+class TestChordDeletion:
+    @given(gauss_diagrams(max_chords=7), st.data())
+    def test_zeroed_weights_give_the_smaller_diagrams_indices(self, diagram, data):
+        n = diagram.n_chords
+        dropped = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        subset = tuple(chord for chord in range(n) if dropped[chord])
+        weights = _endpoint_weights(diagram)
+        over, under = diagram.chord_positions()
+        for chord in subset:
+            weights[over[chord]] = weights[under[chord]] = 0
+        sums = _arc_sums(diagram, weights)
+        survivors = [sums[chord] for chord in range(n) if not dropped[chord]]
+        assert survivors == _arc_sums(remove_chords(diagram, subset))
+
+    @given(gauss_diagrams(max_chords=6))
+    def test_memoised_polynomials_match_the_smaller_diagram(self, diagram):
+        # every subset through one function, as a scan does, so that
+        # subsets whose indices agree but whose signs differ meet in the memo
+        invariants_without = _invariants_without(diagram)
+        chords = range(diagram.n_chords)
+        for size in range(diagram.n_chords + 1):
+            for subset in itertools.combinations(chords, size):
+                smaller = remove_chords(diagram, subset)
+                assert invariants_without(subset) == (u_invariant(smaller),
+                                                      p_invariant(smaller))
 
 
 class TestTable:
