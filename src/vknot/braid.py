@@ -203,6 +203,12 @@ def make_vt(p: int, q: int, n: int) -> BraidWord:
     return BraidWord(p, tuple(letters))
 
 
+def _ijk_indices(i: int, j: int, k: int) -> list[int]:
+    """The letter indices of make_ijk(i, j, k), which are all its closure's
+    component count needs: j ascending blocks, then k, k-1, ..., 1."""
+    return list(range(1, i)) * j + list(range(k, 0, -1))
+
+
 def make_ijk(i: int, j: int, k: int) -> BraidWord:
     """One virtualized ascending block, j-1 classical ascending blocks, then
     the descending tail s_k s_{k-1} ... s_1, all on i strands.
@@ -212,19 +218,13 @@ def make_ijk(i: int, j: int, k: int) -> BraidWord:
     if i < 1 or j < 1 or not 0 <= k < i:
         raise ValueError(f"invalid ijk parameters (i,j,k)=({i},{j},{k}): "
                          "need i >= 1, j >= 1, 0 <= k < i")
-    # letters are frozen, so every block shares one list of them
-    block = [classical(t) for t in range(1, i)]
-    letters = [virtual(t) for t in range(1, i)]
-    for _ in range(j - 1):
-        letters.extend(block)
-    letters.extend(reversed(block[:k]))
+    # letters are frozen, so one letter per index serves every block
+    virtuals = [virtual(t) for t in range(1, i)]
+    classicals = [classical(t) for t in range(1, i)]
+    indices = _ijk_indices(i, j, k)
+    letters = [virtuals[t - 1] for t in indices[:i - 1]]
+    letters.extend(classicals[t - 1] for t in indices[i - 1:])
     return BraidWord(i, tuple(letters))
-
-
-def _ijk_indices(i: int, j: int, k: int) -> list[int]:
-    """The letter indices of make_ijk(i, j, k), which are all its closure's
-    component count needs: j ascending blocks, then k, k-1, ..., 1."""
-    return list(range(1, i)) * j + list(range(k, 0, -1))
 
 
 def _exit_positions(strands: int, indices: Iterable[int]) -> list[int]:
