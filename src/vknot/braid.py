@@ -9,9 +9,12 @@ permutation.  All values are immutable and every operation returns a new
 word, so concurrent use needs no locking.
 
 ``BraidLetter`` and ``BraidWord`` are the one place that checks indices and
-strand counts; ``parse_braid`` checks only token syntax.  Each local rewrite
-pattern is one function in ``_LOCAL_MOVES``, which both ``rewrite_moves``
-(where it matches) and ``apply_rewrite`` (where it does not) read.
+strand counts; ``parse_braid`` checks only token syntax.  The vt and ijk
+families and the scan's torus word share one block layout and one builder,
+and ``_cycles`` is the one walk of the closure's components.  Each local
+rewrite pattern is one function in ``_LOCAL_MOVES``, which both
+``rewrite_moves`` (where it matches) and ``apply_rewrite`` (where it does
+not) read.
 """
 
 from __future__ import annotations
@@ -142,6 +145,11 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
         raise BraidParseError(str(error)) from None
 
 
+# ASCII digits only, as in _BRAID_TOKEN: int() alone also reads "٧", "1_0",
+# "+7" and " 7 "
+_FAMILY_PARAMS = re.compile(r"-?[0-9]+(,-?[0-9]+)*\Z")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A named diagram family plus its three integer parameters.
@@ -165,21 +173,33 @@ class FamilySpec:
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
         variant, sep, rest = text.partition(":")
-        if not sep:
+        if not sep or _FAMILY_PARAMS.match(rest) is None:
             raise ValueError(
                 f"family must look like 'vt:P,Q,N' or 'ijk:I,J,K', got {text!r}")
-        try:
-            params = tuple(int(part) for part in rest.split(","))
-        except ValueError:
-            raise ValueError(f"non-integer family parameters in {text!r}") from None
-        if len(params) != 3:
-            raise ValueError(f"family {text!r} needs exactly three parameters")
+        params = tuple(int(part) for part in rest.split(","))
         return cls(variant, params)  # type: ignore[arg-type]
 
     def build(self) -> BraidWord:
         if self.variant == "vt":
             return make_vt(*self.params)
         return make_ijk(*self.params)
+
+
+def _block_indices(strands: int, blocks: int, tail: int) -> list[int]:
+    """Letter indices of the family layout: ``blocks`` ascending blocks
+    1, 2, ..., strands-1, then the descending tail tail, tail-1, ..., 1."""
+    return list(range(1, strands)) * blocks + list(range(tail, 0, -1))
+
+
+def _family_word(strands: int, indices: list[int], n_virtual: int) -> BraidWord:
+    """The word with these letter indices: the first ``n_virtual`` letters
+    virtual, the rest classical with sign +1."""
+    # letters are frozen, so one letter per index serves every block
+    virtuals = [virtual(t) for t in range(1, strands)]
+    classicals = [classical(t) for t in range(1, strands)]
+    letters = [virtuals[t - 1] for t in indices[:n_virtual]]
+    letters.extend(classicals[t - 1] for t in indices[n_virtual:])
+    return BraidWord(strands, tuple(letters))
 
 
 def make_vt(p: int, q: int, n: int) -> BraidWord:
@@ -192,21 +212,7 @@ def make_vt(p: int, q: int, n: int) -> BraidWord:
     if p < 2 or q < 1 or not 1 <= n <= q:
         raise ValueError(f"invalid vt parameters (p,q,n)=({p},{q},{n}): "
                          "need p >= 2, q >= 1, 1 <= n <= q")
-    # letters are frozen, so every block shares one list of them
-    virtual_block = [virtual(k) for k in range(1, p)]
-    classical_block = [classical(k) for k in range(1, p)]
-    letters: list[BraidLetter] = []
-    for _ in range(n):
-        letters.extend(virtual_block)
-    for _ in range(q - n):
-        letters.extend(classical_block)
-    return BraidWord(p, tuple(letters))
-
-
-def _ijk_indices(i: int, j: int, k: int) -> list[int]:
-    """The letter indices of make_ijk(i, j, k), which are all its closure's
-    component count needs: j ascending blocks, then k, k-1, ..., 1."""
-    return list(range(1, i)) * j + list(range(k, 0, -1))
+    return _family_word(p, _block_indices(p, q, 0), n * (p - 1))
 
 
 def make_ijk(i: int, j: int, k: int) -> BraidWord:
@@ -218,43 +224,45 @@ def make_ijk(i: int, j: int, k: int) -> BraidWord:
     if i < 1 or j < 1 or not 0 <= k < i:
         raise ValueError(f"invalid ijk parameters (i,j,k)=({i},{j},{k}): "
                          "need i >= 1, j >= 1, 0 <= k < i")
-    # letters are frozen, so one letter per index serves every block
-    virtuals = [virtual(t) for t in range(1, i)]
-    classicals = [classical(t) for t in range(1, i)]
-    indices = _ijk_indices(i, j, k)
-    letters = [virtuals[t - 1] for t in indices[:i - 1]]
-    letters.extend(classicals[t - 1] for t in indices[i - 1:])
-    return BraidWord(i, tuple(letters))
+    return _family_word(i, _block_indices(i, j, k), i - 1)
 
 
-def _exit_positions(strands: int, indices: Iterable[int]) -> list[int]:
-    """0-based exit position of each strand (named by its 0-based entry
-    position) after swapping positions index and index + 1 for each 1-based
+def _occupants(strands: int, indices: Iterable[int]) -> list[int]:
+    """The strand (named by its 0-based entry position) at each 0-based exit
+    position, after swapping positions index and index + 1 for each 1-based
     letter index in turn."""
     occupant = list(range(strands))
     for index in indices:
         a = index - 1
         occupant[a], occupant[a + 1] = occupant[a + 1], occupant[a]
-    exit_of = [0] * strands
-    for position, start in enumerate(occupant):
-        exit_of[start] = position
+    return occupant
+
+
+def _exit_positions(occupant: list[int]) -> list[int]:
+    """0-based exit position of each strand, inverting ``_occupants``."""
+    exit_of = [0] * len(occupant)
+    for position, strand in enumerate(occupant):
+        exit_of[strand] = position
     return exit_of
 
 
-def _cycle_count(strands: int, indices: Iterable[int]) -> int:
-    """Closure components of a word given by its letters' indices alone:
-    classical and virtual letters permute the strands alike."""
-    exit_of = _exit_positions(strands, indices)
-    seen = [False] * strands
-    cycles = 0
-    for start in range(strands):
+def _cycles(occupant: list[int]) -> list[list[int]]:
+    """The closure's components, one per cycle of the permutation, given
+    the word's ``_occupants``.  Each lists its strands in walking order: the
+    strand entering where the previous one exits comes next.  The first
+    component starts at strand 0."""
+    exit_of = _exit_positions(occupant)
+    seen = [False] * len(occupant)
+    cycles = []
+    for start in range(len(occupant)):
         if seen[start]:
             continue
-        cycles += 1
-        m = start
-        while not seen[m]:
-            seen[m] = True
-            m = exit_of[m]
+        cycle, strand = [], start
+        while not seen[strand]:
+            seen[strand] = True
+            cycle.append(strand)
+            strand = exit_of[strand]
+        cycles.append(cycle)
     return cycles
 
 
@@ -264,13 +272,14 @@ def permutation(word: BraidWord) -> tuple[int, ...]:
     Entry m-1 is the 1-based position where the strand entering at position m
     exits on the right; classical and virtual letters both transpose.
     """
-    exit_of = _exit_positions(word.strands, (letter.index for letter in word.letters))
-    return tuple(position + 1 for position in exit_of)
+    occupant = _occupants(word.strands, (letter.index for letter in word.letters))
+    return tuple(position + 1 for position in _exit_positions(occupant))
 
 
 def component_count(word: BraidWord) -> int:
     """Number of components of the word's closure (cycles of the permutation)."""
-    return _cycle_count(word.strands, (letter.index for letter in word.letters))
+    return len(_cycles(_occupants(word.strands,
+                                  (letter.index for letter in word.letters))))
 
 
 class RewriteKind(Enum):

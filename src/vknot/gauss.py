@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .braid import BraidWord, component_count
+from .braid import BraidWord, _cycles
 
 
 class Role(Enum):
@@ -93,9 +93,8 @@ def gauss_from_closure(word: BraidWord) -> GaussDiagram:
     letter signs.
 
     One sweep over the letters records what each strand meets; the strands'
-    records are then spliced along the closure arcs.  A walk that is back at
-    strand position 1 before it has used every strand has traced one
-    component of a link.
+    records are then spliced along the closure's first component, which
+    must hold every strand.
     """
     visits: list[list[tuple[int, Role]]] = [[] for _ in range(word.strands)]
     occupant = list(range(word.strands))  # strands, named by entry position
@@ -110,38 +109,32 @@ def gauss_from_closure(word: BraidWord) -> GaussDiagram:
             visits[top].append((chord, Role.OVER if top_over else Role.UNDER))
             visits[bottom].append((chord, Role.UNDER if top_over else Role.OVER))
         occupant[a], occupant[a + 1] = bottom, top
-    exit_of = [0] * word.strands
-    for position, strand in enumerate(occupant):
-        exit_of[strand] = position
-    endpoints = visits[0]
-    strand, used = exit_of[0], 1
-    while strand != 0:
-        endpoints.extend(visits[strand])
-        strand, used = exit_of[strand], used + 1
-    if used != word.strands:
-        raise MultiComponentError(component_count(word))
+    cycles = _cycles(occupant)
+    if len(cycles) != 1:
+        raise MultiComponentError(len(cycles))
+    endpoints = [visit for strand in cycles[0] for visit in visits[strand]]
     return GaussDiagram(tuple(endpoints), tuple(signs))
+
+
+def _flip_chords(diagram: GaussDiagram, chords: set[int]) -> GaussDiagram:
+    """Reverse the arrows and negate the signs of ``chords``."""
+    endpoints = tuple(
+        (c, role.flipped() if c in chords else role)
+        for c, role in diagram.endpoints)
+    signs = tuple(-s if c in chords else s for c, s in enumerate(diagram.signs))
+    return GaussDiagram(endpoints, signs)
 
 
 def flip(diagram: GaussDiagram, chord: int) -> GaussDiagram:
     """Reverse one chord's arrow and negate its sign (one crossing change)."""
     diagram.check_chord(chord)
-    endpoints = tuple(
-        (c, role.flipped() if c == chord else role)
-        for c, role in diagram.endpoints)
-    signs = tuple(-s if c == chord else s for c, s in enumerate(diagram.signs))
-    return GaussDiagram(endpoints, signs)
+    return _flip_chords(diagram, {chord})
 
 
 def normalize_positive(diagram: GaussDiagram) -> GaussDiagram:
     """Flip exactly the negative chords; the result has all signs +1."""
     negative = {c for c, s in enumerate(diagram.signs) if s < 0}
-    if not negative:
-        return diagram
-    endpoints = tuple(
-        (c, role.flipped() if c in negative else role)
-        for c, role in diagram.endpoints)
-    return GaussDiagram(endpoints, (1,) * diagram.n_chords)
+    return _flip_chords(diagram, negative) if negative else diagram
 
 
 def rotate_basepoint(diagram: GaussDiagram, offset: int) -> GaussDiagram:
@@ -269,7 +262,12 @@ def emit_gauss_code(diagram: GaussDiagram) -> str:
 
 
 def parse_gauss_code(text: str) -> GaussDiagram:
-    """Inverse of emit_gauss_code; labels may be any positive integers."""
+    """Inverse of emit_gauss_code; labels may be any positive integers.
+
+    Token syntax and sign consistency are checked here.  That every chord
+    appears once as O and once as U is GaussDiagram's to check; its messages
+    name the dense 0-based chord ids.
+    """
     entries: list[tuple[int, Role, int]] = []
     for token in text.split():
         match = _GAUSS_TOKEN.match(token)
@@ -285,18 +283,13 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         entries.append((label, role, 1 if match.group(3) == "+" else -1))
     labels = sorted({label for label, _, _ in entries})
     index = {label: i for i, label in enumerate(labels)}
-    roles_seen: dict[int, set[Role]] = {label: set() for label in labels}
     sign_of: dict[int, int] = {}
-    for label, role, sign in entries:
-        if role in roles_seen[label]:
-            raise GaussCodeError(f"chord {label} repeats role {role.value}")
-        roles_seen[label].add(role)
+    for label, _, sign in entries:
         if sign_of.setdefault(label, sign) != sign:
             raise GaussCodeError(f"chord {label} has inconsistent signs")
-    for label, roles in roles_seen.items():
-        if len(roles) != 2:
-            raise GaussCodeError(
-                f"chord {label} must appear once as O and once as U")
     endpoints = tuple((index[label], role) for label, role, _ in entries)
     signs = tuple(sign_of[label] for label in labels)
-    return GaussDiagram(endpoints, signs)
+    try:
+        return GaussDiagram(endpoints, signs)
+    except ValueError as error:
+        raise GaussCodeError(str(error)) from None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .braid import BraidWord, classical, make_vt, virtual
+from .braid import BraidWord, _block_indices, _family_word, make_vt, virtual
 from .gauss import MultiComponentError, gauss_from_closure
 from .invariants import IndexPolynomial, _invariants_without, p_invariant
 
@@ -31,10 +31,7 @@ def torus_word(p: int, q: int) -> BraidWord:
     """(s_1 ... s_{p-1})^q on p strands, all crossings positive."""
     if p < 2 or q < 1:
         raise ValueError(f"need p >= 2 and q >= 1, got ({p},{q})")
-    letters = []
-    for _ in range(q):
-        letters.extend(classical(index) for index in range(1, p))
-    return BraidWord(p, tuple(letters))
+    return _family_word(p, _block_indices(p, q, 0), 0)
 
 
 def virtualize_subset(p: int, q: int, subset: Iterable[int]) -> BraidWord:
@@ -140,8 +137,8 @@ class ScanSummary:
             self.nonzero_u += 1
             if self.first_nonzero_u is None:
                 self.first_nonzero_u = record.subset
-            if record.u is not None and record.u.abs_coefficients() == REPORTED_U_PATTERN:
-                self.pattern_attained = True
+            if not self.pattern_attained:
+                self.pattern_attained = record.u.abs_coefficients() == REPORTED_U_PATTERN
 
     def to_json_dict(self) -> dict:
         return {

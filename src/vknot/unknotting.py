@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-from .braid import (BraidWord, _cycle_count, _ijk_indices, component_count,
-                    make_ijk)
+from .braid import (BraidWord, _block_indices, _cycles, _occupants,
+                    component_count, make_ijk)
 from .gauss import GaussDiagram, MultiComponentError, gauss_from_closure
 from .invariants import u_invariant, vu_lower_bound
 
@@ -197,11 +197,9 @@ def unknotting_sequence(i: int, j: int, k: int) -> UnknottingSequence:
     """Full move chain from (i, j, k) down to a terminal state."""
     start = state = IJKState(i, j, k)
     steps: list[UnknottingStep] = []
-    while True:
+    while not state.is_terminal:
         try:
             step = next_step(state)
-        except TerminalStateError:
-            break
         except NotAKnotError as error:
             # moves keep the component count, so the start is the link
             raise NotAKnotError(start, error.components) from None
@@ -215,7 +213,7 @@ def knot_parameter_triples(max_i: int) -> Iterator[tuple[int, int, int]]:
     for i in range(2, max_i + 1):
         for j in range(1, i + 1):
             for k in range(i):
-                if _cycle_count(i, _ijk_indices(i, j, k)) == 1:
+                if len(_cycles(_occupants(i, _block_indices(i, j, k)))) == 1:
                     yield (i, j, k)
 
 

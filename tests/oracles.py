@@ -5,8 +5,8 @@ package code: permutations as image dicts instead of occupant arrays, the
 closure trace both as per-strand event lists spliced along the closure and
 as one walker making a full pass over the word per strand, arc membership
 as literal position sets, the cancelling-pair matcher as an
-all-pairings search, and the braid rewrites and unknotting moves as
-if-chains.
+all-pairings search, Gauss-code parsing as per-label role and sign sets,
+and the braid rewrites and unknotting moves as if-chains.
 """
 
 from vknot.braid import BraidWord, Rewrite, RewriteKind, make_ijk
@@ -147,6 +147,34 @@ def oracle_rewrite_moves(word: BraidWord,
                 moves.append(Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, 1))
                 moves.append(Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, -1))
     return tuple(moves)
+
+
+def oracle_parse_gauss_code(text: str) -> GaussDiagram | None:
+    """Gauss-code text read by per-label role and sign sets; None where a
+    token is malformed, a label is below 1, a chord's signs disagree, or a
+    chord does not appear exactly once as O and once as U."""
+    entries = []
+    for token in text.split():
+        role, digits, sign = token[:1], token[1:-1], token[-1:]
+        if (role not in ("O", "U") or sign not in ("+", "-") or not digits
+                or any(ch not in "0123456789" for ch in digits)
+                or int(digits) < 1):
+            return None
+        entries.append((int(digits), role, sign))
+    roles: dict[int, list[str]] = {}
+    signs: dict[int, set[str]] = {}
+    for label, role, sign in entries:
+        roles.setdefault(label, []).append(role)
+        signs.setdefault(label, set()).add(sign)
+    if any(sorted(seen) != ["O", "U"] for seen in roles.values()):
+        return None
+    if any(len(seen) != 1 for seen in signs.values()):
+        return None
+    labels = sorted(roles)
+    dense = {label: chord for chord, label in enumerate(labels)}
+    return GaussDiagram(
+        tuple((dense[label], Role(role)) for label, role, _ in entries),
+        tuple(1 if signs[label] == {"+"} else -1 for label in labels))
 
 
 def _position_table(diagram: GaussDiagram) -> dict[int, dict[str, int]]:

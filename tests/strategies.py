@@ -3,7 +3,7 @@
 from hypothesis import strategies as st
 
 from vknot.braid import BraidWord, classical, component_count, virtual
-from vknot.gauss import GaussDiagram, Role
+from vknot.gauss import GaussDiagram, Role, emit_gauss_code
 
 
 @st.composite
@@ -47,3 +47,27 @@ def gauss_diagrams(draw, max_chords=5):
             endpoints.append((chord, missing))
     signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(n))
     return GaussDiagram(tuple(endpoints), signs)
+
+
+_GAUSS_TOKENS = st.builds("{}{}{}".format, st.sampled_from("OU"),
+                          st.sampled_from("0123"), st.sampled_from("+-"))
+
+
+@st.composite
+def gauss_token_lists(draw):
+    """Gauss-code tokens over the labels 0-3: a valid code of at most three
+    chords with up to two edits, each deleting a token, inserting one or
+    negating one's sign."""
+    tokens = emit_gauss_code(draw(gauss_diagrams(max_chords=3))).split()
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("delete", "insert", "negate")))
+        if edit == "insert" or not tokens:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(_GAUSS_TOKENS))
+            continue
+        position = draw(st.integers(0, len(tokens) - 1))
+        if edit == "delete":
+            del tokens[position]
+        else:
+            token = tokens[position]
+            tokens[position] = token[:-1] + ("-" if token[-1] == "+" else "+")
+    return tokens

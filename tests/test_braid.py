@@ -135,7 +135,11 @@ class TestFamilies:
         assert FamilySpec.parse("vt:7,3,1").build() == make_vt(7, 3, 1)
         assert FamilySpec.parse("ijk:3,2,2").build() == make_ijk(3, 2, 2)
 
-    @pytest.mark.parametrize("text", ["vt:7,3", "vt7,3,1", "torus:1,2,3", "vt:a,b,c"])
+    @pytest.mark.parametrize("text", [
+        "vt:7,3", "vt7,3,1", "torus:1,2,3", "vt:a,b,c",
+        # int() reads all of these; the family syntax takes ASCII digits only
+        "vt:\u0667,3,1", "ijk:\uff13,2,2", "vt:1_0,3,1", "vt:+7,3,1", "vt: 7 ,3,1",
+    ])
     def test_family_spec_rejects(self, text):
         with pytest.raises(ValueError):
             FamilySpec.parse(text)

@@ -81,6 +81,14 @@ class TestInvariants:
         assert code == 2 and out == ""
         assert constraint in err
 
+    @pytest.mark.parametrize("family", [
+        "vt:\u0667,3,1", "ijk:\uff13,2,2", "vt:1_0,3,1", "vt:+7,3,1", "vt: 7 ,3,1",
+    ], ids=["arabic-indic", "fullwidth", "underscore", "plus", "spaces"])
+    def test_family_digits_must_be_ascii(self, capsys, family):
+        code, out, err = run(capsys, "invariants", "--family", family)
+        assert code == 2 and out == ""
+        assert "family must look like" in err
+
     def test_json_byte_stability(self, capsys):
         _, first, _ = run(capsys, "invariants", "--family", "ijk:5,3,2", "--json")
         _, second, _ = run(capsys, "invariants", "--family", "ijk:5,3,2", "--json")

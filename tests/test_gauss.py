@@ -28,8 +28,9 @@ from vknot.gauss import (
 )
 
 from oracles import (_position_table, diagram_from_layout, oracle_cycle_count,
-                     oracle_strand_walk, oracle_trace, r1_chords, r2_removable_pairs)
-from strategies import braid_words, gauss_diagrams, knot_words
+                     oracle_parse_gauss_code, oracle_strand_walk, oracle_trace,
+                     r1_chords, r2_removable_pairs)
+from strategies import braid_words, gauss_diagrams, gauss_token_lists, knot_words
 
 
 class TestTrace:
@@ -300,6 +301,16 @@ class TestGaussCode:
             parse_gauss_code(text)
         except GaussCodeError:
             pass
+
+    @given(gauss_token_lists())
+    def test_accepts_exactly_what_the_role_set_rules_accept(self, tokens):
+        text = " ".join(tokens)
+        expected = oracle_parse_gauss_code(text)
+        if expected is None:
+            with pytest.raises(GaussCodeError):
+                parse_gauss_code(text)
+        else:
+            assert parse_gauss_code(text) == expected
 
     def test_sparse_labels_relabelled_densely(self):
         diagram = parse_gauss_code("O7+ U9- O9- U7+")
