@@ -169,7 +169,7 @@ def _scan_lines(records: Iterable[ScanRecord], nonzero_u: bool) -> Iterator[str]
     for record in records:
         summary.add(record)
         if not nonzero_u or record.has_nonzero_u:
-            yield json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+            yield record.to_json_line()
     yield json.dumps({"summary": summary.to_json_dict()}, sort_keys=True) + "\n"
 
 

@@ -27,7 +27,9 @@ only a global sign; negating the polynomial gives the mirror convention.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -89,6 +91,12 @@ class IndexPolynomial:
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"exp": m, "coef": b} for m, b in self.terms]}
+
+    @cached_property
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json_dict(), sort_keys=True)``, encoded on
+        first use and kept on the instance (outside the compared fields)."""
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "IndexPolynomial":

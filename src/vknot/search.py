@@ -77,6 +77,14 @@ class ScanRecord:
             "P": None if self.P is None else self.P.to_json_dict(),
         }
 
+    def to_json_line(self) -> str:
+        """``json.dumps(self.to_json_dict(), sort_keys=True)`` plus a newline,
+        built from each polynomial's cached ``json_text``."""
+        u = "null" if self.u is None else self.u.json_text
+        P = "null" if self.P is None else self.P.json_text
+        return (f'{{"P": {P}, "components": {self.components}, '
+                f'"subset": [{", ".join(map(str, self.subset))}], "u": {u}}}\n')
+
 
 def scan_torus_virtualizations(p: int, q: int,
                                limit: int | None = None) -> Iterator[ScanRecord]:
@@ -169,6 +177,8 @@ class TableRow:
 
 def default_table_pairs(max_p: int) -> list[tuple[int, int]]:
     """Coprime (p, q) with 2 <= q < p <= max_p, ordered by p then q."""
+    if max_p < 3:
+        raise ValueError(f"need max_p >= 3, got {max_p}")
     return [(p, q) for p in range(3, max_p + 1) for q in range(2, p)
             if gcd(p, q) == 1]
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from vknot.cli import main, write_atomic
+from vknot.cli import _scan_lines, main, write_atomic
 from vknot.search import scan_torus_virtualizations
 
 
@@ -166,6 +166,18 @@ class TestTable:
         assert target.read_text() == "p,q,half_sum\n3,2,0\n"
         assert os.listdir(tmp_path) == ["rows.csv"]
 
+    @pytest.mark.parametrize("max_p", ["2", "-1"])
+    def test_max_p_below_3_exits_2_and_leaves_csv_untouched(
+            self, capsys, tmp_path, max_p):
+        target = tmp_path / "rows.csv"
+        target.write_bytes(b"old rows\n")
+        code, out, err = run(capsys, "table", "vt2", "--max-p", max_p,
+                             "--csv", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: need max_p >= 3, got {max_p}\n"
+        assert target.read_bytes() == b"old rows\n"
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
     def test_csv_to_a_pipe_is_written_in_place(self, capsys, tmp_path):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
@@ -292,6 +304,18 @@ class TestScan:
         assert err == "error: interrupted\n"
         assert target.read_bytes() == b"old line\n"
         assert os.listdir(tmp_path) == ["records.jsonl"]
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (4, 2), (6, 3), (3, 4), (4, 3),
+                                     (5, 3), (3, 5)])
+    @pytest.mark.parametrize("nonzero_u", [False, True])
+    def test_lines_equal_the_encoded_records(self, p, q, nonzero_u):
+        records = list(scan_torus_virtualizations(p, q))
+        expected = [json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+                    for record in records
+                    if not nonzero_u or record.has_nonzero_u]
+        lines = list(_scan_lines(records, nonzero_u))
+        assert lines[:-1] == expected
+        assert "summary" in json.loads(lines[-1])
 
     def test_negative_limit_exits_2_and_prints_nothing(self, capsys):
         code, out, err = run(capsys, "scan", "--p", "5", "--q", "4",

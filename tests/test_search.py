@@ -132,6 +132,14 @@ class TestScan:
                                       p_invariant(diagram))
             assert record == expected
 
+    def test_polynomials_are_shared_per_memo_entry(self):
+        # every subset with the same (u, P) gets the same two objects, so
+        # each polynomial's cached JSON is encoded once per memo entry; the
+        # dict keeps every object alive, so no id is reused
+        records = scan_torus_virtualizations(5, 4)
+        polynomials = {id(record.P): record.P for record in records}
+        assert len(polynomials) <= 481
+
     def test_summary_json_shape(self):
         summary = summarize_scan(scan_torus_virtualizations(3, 2))
         assert summary.to_json_dict() == {
@@ -170,6 +178,12 @@ class TestChordDeletion:
 class TestTable:
     def test_default_pairs_below_8(self):
         assert default_table_pairs(8) == list(TABLE_VALUES)
+        assert default_table_pairs(3) == [(3, 2)]
+
+    @pytest.mark.parametrize("max_p", [2, 1, 0, -1])
+    def test_default_pairs_reject_max_p_below_3(self, max_p):
+        with pytest.raises(ValueError, match=f"max_p >= 3, got {max_p}"):
+            default_table_pairs(max_p)
 
     def test_values(self):
         rows = table_vt2(default_table_pairs(8))
