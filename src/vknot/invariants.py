@@ -31,6 +31,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from sys import byteorder
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .gauss import GaussDiagram, Role
@@ -136,9 +137,10 @@ def _arc_sums(diagram: GaussDiagram,
     Endpoints weigh +sign (over) and -sign (under), so the circle sums to
     zero and the open arc (o, u) sums to prefix[u] - prefix[o + 1] even when
     it wraps past the basepoint.  ``weights`` replaces those endpoint
-    weights: with some chords' weights set to 0 the circle still sums to
-    zero, and every other chord's sum is its index in the diagram without
-    those chords.
+    weights; any that sum to zero around the circle work the same way.
+    With some chords' weights set to 0, every other chord's sum is its
+    index in the diagram without those chords; with only chord d's two
+    weights, each chord's sum is what removing d takes off its index.
     """
     over, under = diagram.chord_positions()
     prefix = [0, *accumulate(_endpoint_weights(diagram) if weights is None
@@ -163,35 +165,71 @@ def _u_polynomial(values: list[int], signs: Iterable[int]) -> IndexPolynomial:
     return _index_polynomial(crossing, (1 if n > 0 else -1 for n in crossing))
 
 
+class _OnFirstUse(dict):
+    """A dict that builds a missing key's value with ``make`` and keeps it."""
+
+    def __init__(self, make: Callable[[int], int]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.make(key)
+        return value
+
+
 def _invariants_without(diagram: GaussDiagram) -> Callable[
         [Sequence[int]], tuple[IndexPolynomial, IndexPolynomial]]:
     """A function from a set of chord ids to (u, P) of ``diagram`` without
     those chords, equal to the invariants of ``remove_chords``'s diagram.
 
-    Removing a chord only removes its two endpoint weights, so every other
-    chord's index is its arc sum with those weights set to 0, and no smaller
-    diagram is built.  The remaining chords' (index, sign) pairs with
-    nonzero index fix both polynomials, so each distinct multiset of pairs
-    is assembled once for as long as the returned function is kept.
+    Removing chord d only removes its two endpoint weights, so every other
+    chord c's index drops by L[d][c], c's arc sum over d's two weights
+    alone.  Each index is a fixed-width field of one int, holding
+    2 * (index + bias) + [sign > 0]; the row L[d] is packed the same way
+    when a subset first uses d.  A subset's indices are then the base int
+    minus its rows, with its own chords' fields reset to index 0 by a mask.
+    Both polynomials depend only on the multiset of fields, so the sorted
+    fields are the memo key, decoded into (u, P) once per key for as long
+    as the returned function is kept.
     """
+    n = diagram.n_chords
+    bias = n  # indices lie in [-(n - 1), n - 1], so every field is positive
+    size, fmt = next((k, f) for k, f in ((1, "B"), (2, "H"), (4, "I"))
+                     if 2 * (n - 1 + bias) + 1 < 256 ** k)
+    width, length = 8 * size, n * size
     over, under = diagram.chord_positions()
     signs = diagram.signs
-    base_weights = _endpoint_weights(diagram)
-    memo: dict[tuple[tuple[int, int], ...],
-               tuple[IndexPolynomial, IndexPolynomial]] = {}
+
+    def pack(fields: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(f.to_bytes(size, "little") for f in fields),
+                              "little")
+
+    base = pack(2 * (i + bias) + (s > 0) for i, s in zip(_arc_sums(diagram), signs))
+    zeros = pack(2 * bias + (s > 0) for s in signs)
+    twos = pack(2 for _ in signs)
+
+    def row(chord: int) -> int:
+        weights = [0] * (2 * n)
+        weights[over[chord]], weights[under[chord]] = signs[chord], -signs[chord]
+        fields = bytearray(length)  # 2 * L[chord][c] + 2 in each field's low byte
+        fields[::size] = bytes(2 * v + 2 for v in _arc_sums(diagram, weights))
+        return int.from_bytes(fields, "little") - twos
+
+    rows = _OnFirstUse(row)
+    masks = _OnFirstUse(lambda chord: ((1 << width) - 1) << (width * chord))
+    memo: dict[tuple[int, ...], tuple[IndexPolynomial, IndexPolynomial]] = {}
 
     def invariants(chords: Sequence[int]) -> tuple[IndexPolynomial, IndexPolynomial]:
-        weights = base_weights.copy()
-        for chord in chords:
-            weights[over[chord]] = weights[under[chord]] = 0
-        values = _arc_sums(diagram, weights)
-        for chord in chords:
-            values[chord] = 0
-        key = tuple(sorted(pair for pair in zip(values, signs) if pair[0]))
+        vector = base - sum(map(rows.__getitem__, chords))
+        vector ^= (vector ^ zeros) & sum(map(masks.__getitem__, chords))
+        data = vector.to_bytes(length, byteorder)  # cast reads native order
+        key = tuple(sorted(memoryview(data).cast(fmt) if size > 1 else data))
         u_and_p = memo.get(key)
         if u_and_p is None:
-            u_and_p = memo[key] = (_u_polynomial(values, signs),
-                                   _index_polynomial(values, signs))
+            values = [(field >> 1) - bias for field in key]
+            field_signs = [1 if field & 1 else -1 for field in key]
+            u_and_p = memo[key] = (_u_polynomial(values, field_signs),
+                                   _index_polynomial(values, field_signs))
         return u_and_p
 
     return invariants

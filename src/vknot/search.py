@@ -97,8 +97,9 @@ def scan_torus_virtualizations(p: int, q: int,
     Virtual and classical letters permute the strands alike, so every
     subset closes like ``torus_word(p, q)``, and its diagram is that one
     traced diagram with the subset's chords removed.  ``_invariants_without``
-    reads that diagram's u and P off the traced diagram's endpoint weights,
-    without building it.
+    gets that diagram's chord indices, without building it, by subtracting
+    the subset's packed linking rows from the traced diagram's packed
+    indices, and assembles u and P once per distinct sorted set of fields.
     """
     if p < 2 or q < 2:
         raise ValueError(f"need p >= 2 and q >= 2, got ({p},{q})")

@@ -1,13 +1,15 @@
 """Virtualization scans and the half-sum table."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vknot.braid import make_vt
-from vknot.gauss import MultiComponentError, gauss_from_closure, remove_chords
+from vknot.gauss import (GaussDiagram, MultiComponentError, Role, gauss_from_closure,
+                         remove_chords)
 from vknot.invariants import (_arc_sums, _endpoint_weights, _invariants_without,
                               p_invariant, u_invariant)
 from vknot.search import (
@@ -132,6 +134,19 @@ class TestScan:
                                       p_invariant(diagram))
             assert record == expected
 
+    @pytest.mark.parametrize("p,q", [(3, 11), (4, 7), (5, 6), (7, 4)])
+    def test_sampled_subsets_match_a_trace_beyond_16_chords(self, p, q):
+        # too many subsets to trace them all, so a seeded sample of 200
+        # goes through one function, as a scan does
+        invariants_without = _invariants_without(gauss_from_closure(torus_word(p, q)))
+        total = (p - 1) * q
+        rng = random.Random(total * 100 + p)
+        for _ in range(200):
+            subset = tuple(sorted(rng.sample(range(total), rng.randint(0, total))))
+            diagram = gauss_from_closure(virtualize_subset(p, q, subset))
+            assert invariants_without(subset) == (u_invariant(diagram),
+                                                  p_invariant(diagram))
+
     def test_polynomials_are_shared_per_memo_entry(self):
         # every subset with the same (u, P) gets the same two objects, so
         # each polynomial's cached JSON is encoded once per memo entry; the
@@ -170,6 +185,35 @@ class TestChordDeletion:
         chords = range(diagram.n_chords)
         for size in range(diagram.n_chords + 1):
             for subset in itertools.combinations(chords, size):
+                smaller = remove_chords(diagram, subset)
+                assert invariants_without(subset) == (u_invariant(smaller),
+                                                      p_invariant(smaller))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 63, 64, 65, 66])
+    def test_indices_at_the_field_width_edges(self, n):
+        # O0 ... O(n-1) U0 ... U(n-1): chord c's arc holds the over endpoints
+        # of the chords after it and the under endpoints of those before it,
+        # so with equal signs chord 0's index is +-(n - 1), the extreme; each
+        # index takes a field of 2 * (index + n) + [sign > 0] <= 4n - 1, so
+        # 64 chords fit one byte a field and 65 need two
+        endpoints = ([(c, Role.OVER) for c in range(n)]
+                     + [(c, Role.UNDER) for c in range(n)])
+        patterns = [[1] * n, [-1] * n, [-1] + [1] * (n - 1),
+                    [1] * (n - 1) + [-1], [(-1) ** c for c in range(n)]]
+        rng = random.Random(n)
+        if n <= 7:
+            subsets = [subset for size in range(n + 1)
+                       for subset in itertools.combinations(range(n), size)]
+        else:
+            subsets = [(), (0,), (n - 1,), tuple(range(n)), tuple(range(1, n)),
+                       *(tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+                         for _ in range(20))]
+        for signs in patterns:
+            diagram = GaussDiagram(tuple(endpoints), tuple(signs))
+            if signs[1:] == [signs[0]] * (n - 1):
+                assert abs(_arc_sums(diagram)[0]) == n - 1
+            invariants_without = _invariants_without(diagram)
+            for subset in subsets:
                 smaller = remove_chords(diagram, subset)
                 assert invariants_without(subset) == (u_invariant(smaller),
                                                       p_invariant(smaller))
