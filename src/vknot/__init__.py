@@ -43,6 +43,7 @@ from .invariants import (
     crossing_index,
     p_invariant,
     poly_to_string,
+    u_and_p,
     u_invariant,
     vu_lower_bound,
 )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -87,12 +88,13 @@ class BraidWord:
         object.__setattr__(self, "letters", tuple(self.letters))
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        for letter in self.letters:
-            if letter.index >= self.strands:
-                raise ValueError(
-                    f"letter {letter.token()} needs at least {letter.index + 1} "
-                    f"strands, word has {self.strands}"
-                )
+        if max(map(attrgetter("index"), self.letters), default=0) >= self.strands:
+            letter = next(letter for letter in self.letters
+                          if letter.index >= self.strands)
+            raise ValueError(
+                f"letter {letter.token()} needs at least {letter.index + 1} "
+                f"strands, word has {self.strands}"
+            )
 
     def __len__(self) -> int:
         return len(self.letters)

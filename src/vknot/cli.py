@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from .braid import BraidParseError, BraidWord, FamilySpec, parse_braid
 from .gauss import MultiComponentError, emit_gauss_code, gauss_from_closure
-from .invariants import bound_from_p, p_invariant, poly_to_string, u_invariant
+from .invariants import bound_from_p, poly_to_string, u_and_p
 from .search import (ScanRecord, ScanSummary, default_table_pairs,
                      scan_torus_virtualizations, table_to_csv, table_vt2)
 from .unknotting import (NotAKnotError, unknotting_sequence, verify_row,
@@ -105,14 +105,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     if not selected:
         selected = ["p", "u", "bound", "gauss_code"]
     values: dict = {}
-    if "p" in selected or "bound" in selected:
-        p = p_invariant(diagram)
-        if "p" in selected:
-            values["p"] = p
-        if "bound" in selected:
-            values["bound"] = bound_from_p(p)
-    if "u" in selected:
-        values["u"] = u_invariant(diagram)
+    if selected != ["gauss_code"]:
+        u, p = u_and_p(diagram)
+        values.update(p=p, u=u, bound=bound_from_p(p))
     if "gauss_code" in selected:
         values["gauss_code"] = emit_gauss_code(diagram)
     if args.json:

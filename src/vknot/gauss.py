@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .braid import BraidWord, _cycles
+from .braid import BraidWord, LetterKind, _cycles
 
 
 class Role(Enum):
@@ -99,15 +99,19 @@ def gauss_from_closure(word: BraidWord) -> GaussDiagram:
     visits: list[list[tuple[int, Role]]] = [[] for _ in range(word.strands)]
     occupant = list(range(word.strands))  # strands, named by entry position
     signs: list[int] = []
+    classical, over, under = LetterKind.CLASSICAL, Role.OVER, Role.UNDER
     for letter in word.letters:
         a = letter.index - 1
         top, bottom = occupant[a], occupant[a + 1]
-        if letter.is_classical:
-            chord = len(signs)
-            signs.append(letter.sign)
-            top_over = letter.sign > 0
-            visits[top].append((chord, Role.OVER if top_over else Role.UNDER))
-            visits[bottom].append((chord, Role.UNDER if top_over else Role.OVER))
+        if letter.kind is classical:
+            chord, sign = len(signs), letter.sign
+            signs.append(sign)
+            if sign > 0:
+                visits[top].append((chord, over))
+                visits[bottom].append((chord, under))
+            else:
+                visits[top].append((chord, under))
+                visits[bottom].append((chord, over))
         occupant[a], occupant[a + 1] = bottom, top
     cycles = _cycles(occupant)
     if len(cycles) != 1:

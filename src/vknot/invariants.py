@@ -20,7 +20,8 @@ never matter.
 Flipping a negative chord to make it positive leaves every endpoint weight
 where it was and swaps the chord's arc for the complementary one, whose
 weights sum to -i(c).  So u's crossing index is n(c) = sign(c) * i(c), read
-off the same arc sums on the diagram as given.  The orientation convention
+off the same arc sums on the diagram as given, and ``u_and_p`` builds both
+polynomials from one pass.  The orientation convention
 that decides which crossing direction counts as positive for ``u`` fixes
 only a global sign; negating the polynomial gives the mirror convention.
 """
@@ -148,21 +149,25 @@ def _arc_sums(diagram: GaussDiagram,
     return [prefix[u] - prefix[o + 1] for o, u in zip(over, under)]
 
 
-def _index_polynomial(values: list[int],
-                      weights: Iterable[int]) -> IndexPolynomial:
-    """Sum of weight * t^|value| over the chords with nonzero value."""
-    coefficients: dict[int, int] = {}
-    for value, weight in zip(values, weights):
-        if value:
-            m = abs(value)
-            coefficients[m] = coefficients.get(m, 0) + weight
-    return IndexPolynomial.from_coefficients(coefficients)
+def _u_and_p(values: Iterable[int],
+             signs: Iterable[int]) -> tuple[IndexPolynomial, IndexPolynomial]:
+    """(u, P) from the chords' arc sums i(c) and signs, in one loop.
 
-
-def _u_polynomial(values: list[int], signs: Iterable[int]) -> IndexPolynomial:
-    """u from the chords' arc sums: n(c) = sign(c) * i(c), weighted by its sign."""
-    crossing = [s * v for s, v in zip(signs, values)]
-    return _index_polynomial(crossing, (1 if n > 0 else -1 for n in crossing))
+    P adds sign(c) * t^|i(c)| and u adds sign(n(c)) * t^|n(c)| with
+    n(c) = sign(c) * i(c), so both take the exponent |i(c)| and skip i(c) = 0.
+    """
+    u: dict[int, int] = {}
+    p: dict[int, int] = {}
+    for value, sign in zip(values, signs):
+        if value > 0:
+            p[value] = p.get(value, 0) + sign
+            u[value] = u.get(value, 0) + sign
+        elif value:
+            m = -value
+            p[m] = p.get(m, 0) + sign
+            u[m] = u.get(m, 0) - sign
+    return (IndexPolynomial.from_coefficients(u),
+            IndexPolynomial.from_coefficients(p))
 
 
 class _OnFirstUse(dict):
@@ -226,10 +231,9 @@ def _invariants_without(diagram: GaussDiagram) -> Callable[
         key = tuple(sorted(memoryview(data).cast(fmt) if size > 1 else data))
         u_and_p = memo.get(key)
         if u_and_p is None:
-            values = [(field >> 1) - bias for field in key]
-            field_signs = [1 if field & 1 else -1 for field in key]
-            u_and_p = memo[key] = (_u_polynomial(values, field_signs),
-                                   _index_polynomial(values, field_signs))
+            u_and_p = memo[key] = _u_and_p(
+                ((field >> 1) - bias for field in key),
+                (1 if field & 1 else -1 for field in key))
         return u_and_p
 
     return invariants
@@ -248,9 +252,14 @@ def chord_index(diagram: GaussDiagram, chord: int) -> int:
     return _arc_sums(diagram)[chord]
 
 
+def u_and_p(diagram: GaussDiagram) -> tuple[IndexPolynomial, IndexPolynomial]:
+    """``(u_invariant(diagram), p_invariant(diagram))`` from one arc-sum pass."""
+    return _u_and_p(_arc_sums(diagram), diagram.signs)
+
+
 def p_invariant(diagram: GaussDiagram) -> IndexPolynomial:
     """Sum of sign(c) * t^|chord_index(c)| over chords with nonzero index."""
-    return _index_polynomial(_arc_sums(diagram), diagram.signs)
+    return u_and_p(diagram)[1]
 
 
 def bound_from_p(p: IndexPolynomial) -> int:
@@ -291,4 +300,4 @@ def u_invariant(diagram: GaussDiagram) -> IndexPolynomial:
     crossing changes leave untouched, so this value is exactly invariant
     under them.
     """
-    return _u_polynomial(_arc_sums(diagram), diagram.signs)
+    return u_and_p(diagram)[0]

@@ -27,8 +27,8 @@ from typing import Iterator
 
 from .braid import (BraidWord, _block_indices, _cycles, _occupants,
                     component_count, make_ijk)
-from .gauss import GaussDiagram, MultiComponentError, gauss_from_closure
-from .invariants import u_invariant, vu_lower_bound
+from .gauss import MultiComponentError, gauss_from_closure
+from .invariants import IndexPolynomial, bound_from_p, u_and_p
 
 
 class StepKind(Enum):
@@ -193,19 +193,33 @@ def next_step(state: IJKState) -> UnknottingStep:
     raise NotAKnotError(state, component_count(state.braid_word()))
 
 
-def unknotting_sequence(i: int, j: int, k: int) -> UnknottingSequence:
-    """Full move chain from (i, j, k) down to a terminal state."""
-    start = state = IJKState(i, j, k)
+def _walk(start: IJKState,
+          first_steps: dict[IJKState, UnknottingStep]) -> tuple[UnknottingStep, ...]:
+    """The move chain from ``start`` down to a terminal state.
+
+    Each state's first move is read from ``first_steps`` or made by
+    ``next_step`` and kept there, so callers that share the dict compute
+    each state's move once.
+    """
     steps: list[UnknottingStep] = []
+    state = start
     while not state.is_terminal:
-        try:
-            step = next_step(state)
-        except NotAKnotError as error:
-            # moves keep the component count, so the start is the link
-            raise NotAKnotError(start, error.components) from None
+        step = first_steps.get(state)
+        if step is None:
+            try:
+                step = first_steps[state] = next_step(state)
+            except NotAKnotError as error:
+                # moves keep the component count, so the start is the link
+                raise NotAKnotError(start, error.components) from None
         steps.append(step)
         state = step.after
-    return UnknottingSequence(start, tuple(steps))
+    return tuple(steps)
+
+
+def unknotting_sequence(i: int, j: int, k: int) -> UnknottingSequence:
+    """Full move chain from (i, j, k) down to a terminal state."""
+    start = IJKState(i, j, k)
+    return UnknottingSequence(start, _walk(start, {}))
 
 
 def knot_parameter_triples(max_i: int) -> Iterator[tuple[int, int, int]]:
@@ -260,27 +274,31 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _state_check(state: IJKState, cache: dict,
-                 diagram: GaussDiagram | None = None) -> str:
-    """Empty string when the state is a knot with zero u, else a complaint.
-    ``diagram`` is the state's traced closure, when the caller has it."""
+def _state_check(state: IJKState, cache: dict) -> str:
+    """Empty string when the state is a knot with zero u, else a complaint."""
     key = state.as_tuple()
     if key not in cache:
         try:
-            if diagram is None:
-                diagram = gauss_from_closure(state.braid_word())
+            diagram = gauss_from_closure(state.braid_word())
         except MultiComponentError as error:
             cache[key] = f"intermediate {state} has {error.components} components"
         else:
-            cache[key] = ("" if u_invariant(diagram).is_zero
-                          else f"intermediate {state} has nonzero u")
+            cache[key] = _u_message(state, u_and_p(diagram)[0])
     return cache[key]
+
+
+def _u_message(state: IJKState, u: IndexPolynomial) -> str:
+    return "" if u.is_zero else f"intermediate {state} has nonzero u"
 
 
 def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
     """Cross-check one knot state: invariant lower bound, explicit sequence
     cost, and the closed formula must agree, and every intermediate state
-    must stay a knot with vanishing u."""
+    must stay a knot with vanishing u.
+
+    ``cache``, when shared across rows, keeps each state's first move (keyed
+    by the state) and its check message (keyed by its triple).
+    """
     if cache is None:
         cache = {}
     state = IJKState(i, j, k)
@@ -289,16 +307,16 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
     problems: list[str] = []
     if crossings % 2:
         problems.append(f"odd crossing count {crossings}")
-    diagram = gauss_from_closure(state.braid_word())
-    lower = vu_lower_bound(diagram)
-    sequence = unknotting_sequence(i, j, k)
+    u, p = u_and_p(gauss_from_closure(state.braid_word()))
+    lower = bound_from_p(p)
+    sequence = UnknottingSequence(state, _walk(state, cache))
     upper = sequence.total_changes
     if not lower == upper == formula:
         problems.append(
             f"bounds disagree: lower={lower} upper={upper} formula={formula}")
+    cache[state.as_tuple()] = _u_message(state, u)
     for intermediate in sequence.states():
-        message = _state_check(intermediate, cache,
-                               diagram if intermediate == state else None)
+        message = _state_check(intermediate, cache)
         if message:
             problems.append(message)
             break

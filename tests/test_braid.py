@@ -1,7 +1,10 @@
 """Braid words: parsing, families, closure combinatorics, rewrites."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -15,12 +18,14 @@ from vknot.braid import (
     RewriteError,
     RewriteKind,
     apply_rewrite,
+    classical,
     component_count,
     make_ijk,
     make_vt,
     parse_braid,
     permutation,
     rewrite_moves,
+    virtual,
 )
 from vknot.unknotting import knot_parameter_triples
 
@@ -85,6 +90,41 @@ class TestParse:
         assert word.letters[0].sign == -1
         assert word.letters[1].sign == 1
         assert word.emit() == "-2 2"
+
+
+class TestWordRange:
+    # three letters out of range for 3 strands; the message names the first
+    LETTERS = (classical(1), classical(3), virtual(4), classical(5, -1))
+    MESSAGE = "letter 3 needs at least 4 strands, word has 3"
+
+    def test_names_the_first_out_of_range_letter(self):
+        with pytest.raises(ValueError) as info:
+            BraidWord(3, self.LETTERS)
+        assert str(info.value) == self.MESSAGE
+        with pytest.raises(ValueError) as info:
+            BraidWord(3, self.LETTERS[2:])
+        assert str(info.value) == "letter v4 needs at least 5 strands, word has 3"
+
+    def test_parse_braid_reraises_it_as_a_parse_error(self):
+        with pytest.raises(BraidParseError) as info:
+            parse_braid("1 3 v4 -5", strands=3)
+        assert str(info.value) == self.MESSAGE
+
+    def test_raises_with_assertions_stripped(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        code = ("import sys\n"
+                "from vknot.braid import BraidWord, classical, virtual\n"
+                "assert sys.flags.optimize\n"  # would raise without -O
+                "try:\n"
+                "    BraidWord(3, (classical(1), classical(3), virtual(4),"
+                " classical(5, -1)))\n"
+                "except ValueError as error:\n"
+                "    print(error)\n")
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == self.MESSAGE + "\n"
 
 
 class TestFamilies:

@@ -23,6 +23,7 @@ from vknot.invariants import (
     crossing_index,
     p_invariant,
     poly_to_string,
+    u_and_p,
     u_invariant,
     vu_lower_bound,
 )
@@ -237,6 +238,19 @@ class TestUInvariant:
         assert value == poly({2: -1, 1: 2})
         assert value.abs_coefficients() == {2: 1, 1: 2}
         assert -u_invariant(diagram) == poly({2: 1, 1: -2})
+
+
+class TestOnePass:
+    @given(gauss_diagrams(max_chords=7))
+    # indices 1, 2, -1, 0 under signs -, +, +, -: u = t^2 - 2t, P = t^2
+    @example(parse_gauss_code("O1- O2+ U1- O3+ U2+ U3+ O4- U4-"))
+    # indices 0, -2, 2, 0: P = 2t^2 while u's two terms cancel
+    @example(parse_gauss_code("O1- U2+ O3+ U1- O2+ U3+ O4- U4-"))
+    def test_u_and_p_match_the_brute_force_oracles(self, diagram):
+        u, p = u_and_p(diagram)
+        assert u == poly(brute_u_coefficients(diagram))
+        assert p == poly(brute_p_coefficients(diagram))
+        assert (u, p) == (u_invariant(diagram), p_invariant(diagram))
 
 
 def seeded_torus_word(strands, seed, virtual_share=0.15):

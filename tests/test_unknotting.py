@@ -4,7 +4,8 @@ import pytest
 
 from vknot.braid import component_count, make_ijk
 from vknot.gauss import MultiComponentError, gauss_from_closure
-from vknot.invariants import u_invariant
+from vknot import unknotting
+from vknot.invariants import IndexPolynomial, u_invariant
 from vknot.unknotting import (
     IJKState,
     NotAKnotError,
@@ -12,6 +13,7 @@ from vknot.unknotting import (
     TerminalStateError,
     UnknottingSequence,
     UnknottingStep,
+    _walk,
     knot_parameter_triples,
     next_step,
     unknotting_sequence,
@@ -277,3 +279,57 @@ class TestVerify:
     def test_rejects_tiny_max_i(self):
         with pytest.raises(ValueError):
             verify_theorem2(1)
+
+
+class TestFirstStepCache:
+    @pytest.mark.parametrize("max_i", [2, 3, 6, 10])
+    def test_sweep_rows_equal_rows_with_fresh_caches(self, max_i):
+        assert verify_theorem2(max_i).rows == tuple(
+            verify_row(i, j, k, {}) for i, j, k in knot_parameter_triples(max_i))
+
+    def test_chains_through_the_shared_cache_equal_fresh_sequences(self):
+        cache: dict = {}
+        for i, j, k in knot_parameter_triples(10):
+            verify_row(i, j, k, cache)
+            assert (_walk(IJKState(i, j, k), cache)
+                    == unknotting_sequence(i, j, k).steps)
+        # one first step per non-terminal state the chains pass through
+        visited = {state for triple in knot_parameter_triples(10)
+                   for state in unknotting_sequence(*triple).states()
+                   if not state.is_terminal}
+        first_steps = {key: step for key, step in cache.items()
+                       if isinstance(key, IJKState)}
+        assert set(first_steps) == visited
+        assert all(step == next_step(state) for state, step in first_steps.items())
+
+    def test_the_sweep_makes_each_first_step_once(self, monkeypatch):
+        # in theorem-2 order every intermediate state is an earlier row
+        made = []
+        real = unknotting.next_step
+        monkeypatch.setattr(unknotting, "next_step",
+                            lambda state: made.append(state) or real(state))
+        report = verify_theorem2(10)
+        assert made == [IJKState(row.i, row.j, row.k) for row in report.rows
+                        if not IJKState(row.i, row.j, row.k).is_terminal]
+
+    def test_a_failing_state_fails_the_same_rows_through_the_cache(self, monkeypatch):
+        flagged = gauss_from_closure(make_ijk(3, 2, 0))
+        real = unknotting.u_and_p
+
+        def u_and_p(diagram):
+            u, p = real(diagram)
+            return (IndexPolynomial.from_coefficients({1: 1})
+                    if diagram == flagged else u), p
+
+        monkeypatch.setattr(unknotting, "u_and_p", u_and_p)
+        triples = list(knot_parameter_triples(10))
+        shared = verify_theorem2(10).rows
+        fresh = tuple(verify_row(i, j, k) for i, j, k in triples)
+        assert shared == fresh
+        failing = {(row.i, row.j, row.k) for row in shared if not row.passed}
+        through = {triple for triple in triples
+                   if IJKState(3, 2, 0) in unknotting_sequence(*triple).states()}
+        assert (3, 2, 0) in failing and len(failing) > 1
+        assert failing == through
+        assert all(row.detail == "intermediate (3,2,0) has nonzero u"
+                   for row in shared if not row.passed)
