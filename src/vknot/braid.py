@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 
 class LetterKind(Enum):
@@ -193,15 +193,29 @@ def _block_indices(strands: int, blocks: int, tail: int) -> list[int]:
     return list(range(1, strands)) * blocks + list(range(tail, 0, -1))
 
 
+class _OnFirstUse(dict):
+    """A dict that builds a missing key's value with ``make`` and keeps it."""
+
+    def __init__(self, make: Callable[[Any], Any]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
+# letters are frozen and compare by value, so one letter per index serves
+# every family word
+_VIRTUALS = _OnFirstUse(virtual)
+_CLASSICALS = _OnFirstUse(classical)
+
+
 def _family_word(strands: int, indices: list[int], n_virtual: int) -> BraidWord:
     """The word with these letter indices: the first ``n_virtual`` letters
     virtual, the rest classical with sign +1."""
-    # letters are frozen, so one letter per index serves every block
-    virtuals = [virtual(t) for t in range(1, strands)]
-    classicals = [classical(t) for t in range(1, strands)]
-    letters = [virtuals[t - 1] for t in indices[:n_virtual]]
-    letters.extend(classicals[t - 1] for t in indices[n_virtual:])
-    return BraidWord(strands, tuple(letters))
+    return BraidWord(strands, (*map(_VIRTUALS.__getitem__, indices[:n_virtual]),
+                               *map(_CLASSICALS.__getitem__, indices[n_virtual:])))
 
 
 def make_vt(p: int, q: int, n: int) -> BraidWord:
@@ -229,11 +243,12 @@ def make_ijk(i: int, j: int, k: int) -> BraidWord:
     return _family_word(i, _block_indices(i, j, k), i - 1)
 
 
-def _occupants(strands: int, indices: Iterable[int]) -> list[int]:
+def _occupants(strands: int, indices: Iterable[int],
+               start: list[int] | None = None) -> list[int]:
     """The strand (named by its 0-based entry position) at each 0-based exit
     position, after swapping positions index and index + 1 for each 1-based
-    letter index in turn."""
-    occupant = list(range(strands))
+    letter index in turn, starting from ``start`` (default: the identity)."""
+    occupant = list(range(strands)) if start is None else start.copy()
     for index in indices:
         a = index - 1
         occupant[a], occupant[a + 1] = occupant[a + 1], occupant[a]

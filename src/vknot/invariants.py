@@ -35,6 +35,7 @@ from itertools import accumulate
 from sys import byteorder
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .braid import _OnFirstUse
 from .gauss import GaussDiagram, Role
 
 
@@ -168,18 +169,6 @@ def _u_and_p(values: Iterable[int],
             u[m] = u.get(m, 0) - sign
     return (IndexPolynomial.from_coefficients(u),
             IndexPolynomial.from_coefficients(p))
-
-
-class _OnFirstUse(dict):
-    """A dict that builds a missing key's value with ``make`` and keeps it."""
-
-    def __init__(self, make: Callable[[int], int]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: int) -> int:
-        value = self[key] = self.make(key)
-        return value
 
 
 def _invariants_without(diagram: GaussDiagram) -> Callable[

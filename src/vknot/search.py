@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .braid import BraidWord, _block_indices, _family_word, make_vt, virtual
+from .braid import (BraidWord, _block_indices, _family_word, _OnFirstUse, make_vt,
+                    virtual)
 from .gauss import MultiComponentError, gauss_from_closure
 from .invariants import IndexPolynomial, _invariants_without, p_invariant
 
@@ -25,6 +26,9 @@ DEFAULT_SCAN_BITS = 16
 
 # Absolute-coefficient pattern highlighted in scan summaries: +-(t^2 - 2t).
 REPORTED_U_PATTERN = {2: 1, 1: 2}
+
+# str(position) for every subset position printed so far: at most (p-1)q
+_POSITION_TEXT = _OnFirstUse(str)
 
 
 def torus_word(p: int, q: int) -> BraidWord:
@@ -52,9 +56,11 @@ def virtualize_subset(p: int, q: int, subset: Iterable[int]) -> BraidWord:
                               for position, letter in enumerate(letters)))
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One virtualization subset; invariants are None for link closures."""
+class ScanRecord(NamedTuple):
+    """One virtualization subset; invariants are None for link closures.
+
+    A named tuple, so the scan builds each record with one ``tuple.__new__``.
+    """
 
     subset: tuple[int, ...]
     components: int
@@ -79,11 +85,13 @@ class ScanRecord:
 
     def to_json_line(self) -> str:
         """``json.dumps(self.to_json_dict(), sort_keys=True)`` plus a newline,
-        built from each polynomial's cached ``json_text``."""
+        built from each polynomial's cached ``json_text`` and the positions'
+        cached texts."""
         u = "null" if self.u is None else self.u.json_text
         P = "null" if self.P is None else self.P.json_text
+        subset = ", ".join(map(_POSITION_TEXT.__getitem__, self.subset))
         return (f'{{"P": {P}, "components": {self.components}, '
-                f'"subset": [{", ".join(map(str, self.subset))}], "u": {u}}}\n')
+                f'"subset": [{subset}], "u": {u}}}\n')
 
 
 def scan_torus_virtualizations(p: int, q: int,
@@ -121,9 +129,9 @@ def scan_torus_virtualizations(p: int, q: int,
         for subset in subsets:
             yield ScanRecord(subset, components, None, None)
         return
-    invariants_without = _invariants_without(base)
+    invariants_without, make = _invariants_without(base), ScanRecord._make
     for subset in subsets:
-        yield ScanRecord(subset, 1, *invariants_without(subset))
+        yield make((subset, 1, *invariants_without(subset)))
 
 
 @dataclass

@@ -226,8 +226,10 @@ def knot_parameter_triples(max_i: int) -> Iterator[tuple[int, int, int]]:
     """One-component (i, j, k) with 2 <= i <= max_i, 1 <= j <= i, 0 <= k < i."""
     for i in range(2, max_i + 1):
         for j in range(1, i + 1):
+            # the j ascending blocks are shared by every k; only the tail differs
+            blocks = _occupants(i, _block_indices(i, j, 0))
             for k in range(i):
-                if len(_cycles(_occupants(i, _block_indices(i, j, k)))) == 1:
+                if len(_cycles(_occupants(i, _block_indices(i, 0, k), blocks))) == 1:
                     yield (i, j, k)
 
 

@@ -1,6 +1,7 @@
 """Virtualization scans and the half-sum table."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from vknot.braid import make_vt
 from vknot.gauss import (GaussDiagram, MultiComponentError, Role, gauss_from_closure,
                          remove_chords)
-from vknot.invariants import (_arc_sums, _endpoint_weights, _invariants_without,
-                              p_invariant, u_invariant)
+from vknot.invariants import (IndexPolynomial, _arc_sums, _endpoint_weights,
+                              _invariants_without, p_invariant, u_invariant)
 from vknot.search import (
     ScanRecord,
     default_table_pairs,
@@ -161,6 +162,35 @@ class TestScan:
             "subsets": 16, "knots": 16, "nonzero_u": 0,
             "pattern_attained": False, "first_nonzero_u": None,
         }
+
+
+class TestScanRecord:
+    KNOT = ScanRecord((0, 9, 10, 99, 100, 1234), 1,
+                      IndexPolynomial(((2, 1), (1, -2))), IndexPolynomial(((3, -1),)))
+    LINK = ScanRecord((0, 9, 10, 99, 100, 1234), 3, None, None)
+
+    @pytest.mark.parametrize("field", ["subset", "components", "u", "P"])
+    def test_fields_cannot_be_assigned(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.KNOT, field, None)
+
+    def test_equal_values_give_equal_records_and_hashes(self):
+        twin = ScanRecord(tuple([0, 9, 10, 99, 100, 1234]), 1,
+                          IndexPolynomial(((2, 1), (1, -2))),
+                          IndexPolynomial(((3, -1),)))
+        assert twin == self.KNOT and hash(twin) == hash(self.KNOT)
+        assert twin != self.LINK
+
+    def test_repr_names_every_field(self):
+        assert repr(self.LINK) == (
+            "ScanRecord(subset=(0, 9, 10, 99, 100, 1234), components=3, "
+            "u=None, P=None)")
+
+    @pytest.mark.parametrize("record", [KNOT, LINK], ids=["knot", "link"])
+    def test_json_line_is_the_sorted_json_dict(self, record):
+        # positions of one to four digits all go through the cached texts
+        assert record.to_json_line() == json.dumps(record.to_json_dict(),
+                                                   sort_keys=True) + "\n"
 
 
 class TestChordDeletion:
