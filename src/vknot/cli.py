@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 from .braid import BraidParseError, BraidWord, FamilySpec, parse_braid
 from .gauss import MultiComponentError, emit_gauss_code, gauss_from_closure
 from .invariants import bound_from_p, poly_to_string, u_and_p
-from .search import (ScanRecord, ScanSummary, default_table_pairs,
+from .search import (_POSITION_TEXT, ScanRecord, ScanSummary, default_table_pairs,
                      scan_torus_virtualizations, table_to_csv, table_vt2)
 from .unknotting import (NotAKnotError, unknotting_sequence, verify_row,
                          verify_theorem2)
@@ -159,12 +159,28 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _scan_lines(records: Iterable[ScanRecord], nonzero_u: bool) -> Iterator[str]:
-    """Each record's JSON line as the record arrives, then the summary line."""
-    summary = ScanSummary()
+    """Each record's JSON line as the record arrives, then the summary line.
+
+    Records of one (components, u, P) share its line text, its filter
+    verdict and its share of the summary, so those are worked out once per
+    class, keyed by the objects' ids; the dict keeps the class's first
+    record, and with it those objects, so no id is reused while it lives.
+    Per record what is left is a lookup, a count and the subset's text.
+    """
+    classes: dict[tuple[int, int, int], list] = {}  # [head, tail, printed, first, count]
+    position_text, join = _POSITION_TEXT.__getitem__, ", ".join
     for record in records:
-        summary.add(record)
-        if not nonzero_u or record.has_nonzero_u:
-            yield record.to_json_line()
+        subset, components, u, P = record
+        line = classes.get((components, id(u), id(P)))
+        if line is None:
+            line = classes[components, id(u), id(P)] = [
+                *record.json_parts(), not nonzero_u or record.has_nonzero_u, record, 0]
+        line[4] += 1
+        if line[2]:
+            yield line[0] + join(map(position_text, subset)) + line[1]
+    summary = ScanSummary()
+    for *_, first, count in classes.values():
+        summary.add(first, count)
     yield json.dumps({"summary": summary.to_json_dict()}, sort_keys=True) + "\n"
 
 

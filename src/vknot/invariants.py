@@ -28,12 +28,10 @@ only a global sign; negating the polynomial gives the mirror convention.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from sys import byteorder
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .braid import _OnFirstUse
 from .gauss import GaussDiagram, Role
@@ -94,12 +92,6 @@ class IndexPolynomial:
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"exp": m, "coef": b} for m, b in self.terms]}
-
-    @cached_property
-    def json_text(self) -> str:
-        """``json.dumps(self.to_json_dict(), sort_keys=True)``, encoded on
-        first use and kept on the instance (outside the compared fields)."""
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "IndexPolynomial":
@@ -171,26 +163,31 @@ def _u_and_p(values: Iterable[int],
             IndexPolynomial.from_coefficients(p))
 
 
-def _invariants_without(diagram: GaussDiagram) -> Callable[
-        [Sequence[int]], tuple[IndexPolynomial, IndexPolynomial]]:
-    """A function from a set of chord ids to (u, P) of ``diagram`` without
+def _invariants_without(diagram: GaussDiagram, subsets: Iterable[Sequence[int]]
+                        ) -> Iterator[tuple[Sequence[int],
+                                            tuple[IndexPolynomial, IndexPolynomial]]]:
+    """Each subset of chord ids paired with (u, P) of ``diagram`` without
     those chords, equal to the invariants of ``remove_chords``'s diagram.
 
     Removing chord d only removes its two endpoint weights, so every other
     chord c's index drops by L[d][c], c's arc sum over d's two weights
     alone.  Each index is a fixed-width field of one int, holding
-    2 * (index + bias) + [sign > 0]; the row L[d] is packed the same way
-    when a subset first uses d.  A subset's indices are then the base int
-    minus its rows, with its own chords' fields reset to index 0 by a mask.
-    Both polynomials depend only on the multiset of fields, so the sorted
-    fields are the memo key, decoded into (u, P) once per key for as long
-    as the returned function is kept.
+    2 * (index + bias) + [sign > 0].  Chord d's row, built when a subset
+    first uses d, is d's field mask shifted above all the fields, minus L[d]
+    packed the same way.  Adding a subset's rows to the base int leaves its
+    indices in the fields, none borrowing since each stays a valid index,
+    and the union of its own fields' masks above them, which resets those
+    fields to index 0.  Both polynomials depend only on the multiset of
+    fields, so the sorted fields are the memo key, decoded into (u, P) once
+    per key; every subset with that key gets the same (u, P) tuple, and
+    equal polynomials are kept as one object.
     """
     n = diagram.n_chords
     bias = n  # indices lie in [-(n - 1), n - 1], so every field is positive
     size, fmt = next((k, f) for k, f in ((1, "B"), (2, "H"), (4, "I"))
                      if 2 * (n - 1 + bias) + 1 < 256 ** k)
     width, length = 8 * size, n * size
+    shift = 8 * length  # the subset's masks sit above all the fields
     over, under = diagram.chord_positions()
     signs = diagram.signs
 
@@ -207,25 +204,25 @@ def _invariants_without(diagram: GaussDiagram) -> Callable[
         weights[over[chord]], weights[under[chord]] = signs[chord], -signs[chord]
         fields = bytearray(length)  # 2 * L[chord][c] + 2 in each field's low byte
         fields[::size] = bytes(2 * v + 2 for v in _arc_sums(diagram, weights))
-        return int.from_bytes(fields, "little") - twos
+        mask = ((1 << width) - 1) << (width * chord)
+        return (mask << shift) + twos - int.from_bytes(fields, "little")
 
-    rows = _OnFirstUse(row)
-    masks = _OnFirstUse(lambda chord: ((1 << width) - 1) << (width * chord))
+    rows, low = _OnFirstUse(row), (1 << shift) - 1
     memo: dict[tuple[int, ...], tuple[IndexPolynomial, IndexPolynomial]] = {}
-
-    def invariants(chords: Sequence[int]) -> tuple[IndexPolynomial, IndexPolynomial]:
-        vector = base - sum(map(rows.__getitem__, chords))
-        vector ^= (vector ^ zeros) & sum(map(masks.__getitem__, chords))
+    polynomials: dict[IndexPolynomial, IndexPolynomial] = {}
+    for chords in subsets:
+        total = base + sum(map(rows.__getitem__, chords))
+        vector = total & low
+        vector ^= (vector ^ zeros) & (total >> shift)
         data = vector.to_bytes(length, byteorder)  # cast reads native order
         key = tuple(sorted(memoryview(data).cast(fmt) if size > 1 else data))
         u_and_p = memo.get(key)
         if u_and_p is None:
-            u_and_p = memo[key] = _u_and_p(
-                ((field >> 1) - bias for field in key),
-                (1 if field & 1 else -1 for field in key))
-        return u_and_p
-
-    return invariants
+            u_and_p = memo[key] = tuple(
+                polynomials.setdefault(value, value) for value in _u_and_p(
+                    ((field >> 1) - bias for field in key),
+                    (1 if field & 1 else -1 for field in key)))
+        yield chords, u_and_p
 
 
 def chord_index(diagram: GaussDiagram, chord: int) -> int:

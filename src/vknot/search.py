@@ -11,6 +11,7 @@ doubly-virtualized family.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
@@ -83,15 +84,18 @@ class ScanRecord(NamedTuple):
             "P": None if self.P is None else self.P.to_json_dict(),
         }
 
+    def json_parts(self) -> tuple[str, str]:
+        """The text of ``to_json_line`` before and after the subset's
+        positions, the same for every record of one (components, u, P)."""
+        text = json.dumps({**self.to_json_dict(), "subset": []}, sort_keys=True)
+        head, subset, tail = text.partition('"subset": [')
+        return head + subset, tail + "\n"
+
     def to_json_line(self) -> str:
         """``json.dumps(self.to_json_dict(), sort_keys=True)`` plus a newline,
-        built from each polynomial's cached ``json_text`` and the positions'
-        cached texts."""
-        u = "null" if self.u is None else self.u.json_text
-        P = "null" if self.P is None else self.P.json_text
-        subset = ", ".join(map(_POSITION_TEXT.__getitem__, self.subset))
-        return (f'{{"P": {P}, "components": {self.components}, '
-                f'"subset": [{subset}], "u": {u}}}\n')
+        joined from ``json_parts`` and the positions' cached texts."""
+        head, tail = self.json_parts()
+        return head + ", ".join(map(_POSITION_TEXT.__getitem__, self.subset)) + tail
 
 
 def scan_torus_virtualizations(p: int, q: int,
@@ -105,9 +109,9 @@ def scan_torus_virtualizations(p: int, q: int,
     Virtual and classical letters permute the strands alike, so every
     subset closes like ``torus_word(p, q)``, and its diagram is that one
     traced diagram with the subset's chords removed.  ``_invariants_without``
-    gets that diagram's chord indices, without building it, by subtracting
-    the subset's packed linking rows from the traced diagram's packed
-    indices, and assembles u and P once per distinct sorted set of fields.
+    gets each subset's (u, P) from that diagram's packed chord indices and
+    the subset's packed linking rows, without building the smaller diagram,
+    and every subset with the same sorted indices shares one (u, P).
     """
     if p < 2 or q < 2:
         raise ValueError(f"need p >= 2 and q >= 2, got ({p},{q})")
@@ -125,19 +129,17 @@ def scan_torus_virtualizations(p: int, q: int,
     subsets = itertools.islice(
         (subset for size in range(total + 1)
          for subset in itertools.combinations(range(total), size)), limit)
-    if base is None:
-        for subset in subsets:
-            yield ScanRecord(subset, components, None, None)
-        return
-    invariants_without, make = _invariants_without(base), ScanRecord._make
-    for subset in subsets:
-        yield make((subset, 1, *invariants_without(subset)))
+    pairs = (((subset, (None, None)) for subset in subsets) if base is None
+             else _invariants_without(base, subsets))
+    new = tuple.__new__
+    for subset, u_and_p in pairs:
+        yield new(ScanRecord, (subset, components) + u_and_p)
 
 
 @dataclass
 class ScanSummary:
-    """Scan counts, folded one record at a time by ``add``, so a streamed
-    scan is summarised without keeping its records."""
+    """Scan counts, folded by ``add``, so a streamed scan is summarised
+    without keeping its records."""
 
     subsets: int = 0
     knots: int = 0
@@ -145,13 +147,15 @@ class ScanSummary:
     pattern_attained: bool = False
     first_nonzero_u: tuple[int, ...] | None = None
 
-    def add(self, record: ScanRecord) -> None:
-        self.subsets += 1
+    def add(self, record: ScanRecord, count: int = 1) -> None:
+        """Fold ``record`` in as ``count`` records of its (components, u, P),
+        ``record`` the first of them in scan order."""
+        self.subsets += count
         if not record.is_knot:
             return
-        self.knots += 1
+        self.knots += count
         if record.has_nonzero_u:
-            self.nonzero_u += 1
+            self.nonzero_u += count
             if self.first_nonzero_u is None:
                 self.first_nonzero_u = record.subset
             if not self.pattern_attained:

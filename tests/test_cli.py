@@ -3,6 +3,7 @@
 import concurrent.futures
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -11,7 +12,8 @@ import sys
 import pytest
 
 from vknot.cli import _scan_lines, main, write_atomic
-from vknot.search import scan_torus_virtualizations
+from vknot.invariants import IndexPolynomial, _u_and_p
+from vknot.search import ScanRecord, scan_torus_virtualizations, summarize_scan
 
 
 def run(capsys, *argv):
@@ -342,6 +344,88 @@ class TestScan:
     def test_oversized_scan_needs_limit(self, capsys):
         code, _, err = run(capsys, "scan", "--p", "4", "--q", "6")
         assert code == 2 and "limit" in err
+
+
+def _poly(coefficients):
+    return IndexPolynomial.from_coefficients(coefficients)
+
+
+def _encoded(records, nonzero_u=False):
+    """The scan's stdout built record by record with json.dumps."""
+    lines = [json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+             for record in records if not nonzero_u or record.has_nonzero_u]
+    summary = summarize_scan(records).to_json_dict()
+    return lines + [json.dumps({"summary": summary}, sort_keys=True) + "\n"]
+
+
+class TestScanClasses:
+    """The scan's lines and summary are worked out once per (components, u,
+    P) object triple and must read as if each record were encoded alone."""
+
+    P = _poly({3: -1})
+    PATTERN_U = _poly({2: 1, 1: -2})
+    RECORDS = [
+        ScanRecord((), 1, _poly({}), P),
+        ScanRecord((0, 2), 1, PATTERN_U, P),
+        ScanRecord((1,), 1, _poly({1: 2}), P),  # one P object, another u
+        ScanRecord((0, 1, 2), 3, None, None),
+        ScanRecord((5,), 2, None, None),  # a link with other components
+        ScanRecord((4,), 2, PATTERN_U, P),  # one (u, P), other components
+        # equal values as distinct objects
+        ScanRecord((7, 9), 1, _poly({2: 1, 1: -2}), _poly({3: -1})),
+        ScanRecord((3,), 1, PATTERN_U, P),
+        ScanRecord((1234, 99), 1, _poly({}), P),
+        ScanRecord((8,), 3, None, None),
+    ]
+
+    @pytest.mark.parametrize("nonzero_u", [False, True])
+    def test_hand_built_records_read_as_encoded_alone(self, nonzero_u):
+        assert list(_scan_lines(iter(self.RECORDS), nonzero_u)) == _encoded(
+            self.RECORDS, nonzero_u)
+
+    @pytest.mark.parametrize("start", range(len(RECORDS)))
+    def test_summary_folds_classes_in_first_appearance_order(self, start):
+        # every rotation moves which class appears first and which record
+        # is the first with nonzero u
+        records = self.RECORDS[start:] + self.RECORDS[:start]
+        *_, summary = _scan_lines(iter(records), True)
+        assert summary == _encoded(records)[-1]
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (4, 2), (6, 3), (3, 4), (4, 3),
+                                     (5, 3), (3, 5)])
+    @pytest.mark.parametrize("cut", ["none", "zero", "one", "past_size_1",
+                                     "past_size_2"])
+    def test_cli_output_at_size_boundaries(self, capsys, p, q, cut):
+        # links (gcd > 1) and knots, cut after the empty subset, after all
+        # subsets of size <= 1 and after all of size <= 2
+        n = (p - 1) * q
+        limit = {"none": None, "zero": 0, "one": 1, "past_size_1": n + 1,
+                 "past_size_2": 1 + n + math.comb(n, 2)}[cut]
+        argv = ["scan", "--p", str(p), "--q", str(q)]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        records = list(scan_torus_virtualizations(p, q, limit))
+        assert out.splitlines(keepends=True) == _encoded(records)
+
+    def test_one_class_entry_per_memo_key(self, monkeypatch):
+        # a class is encoded when it is first seen, so the encodings count
+        # the class entries, and the decodes count the memo keys
+        calls = {"decodes": 0, "encodings": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr("vknot.invariants._u_and_p", counted("decodes", _u_and_p))
+        monkeypatch.setattr(ScanRecord, "json_parts",
+                            counted("encodings", ScanRecord.json_parts))
+        *_, summary = _scan_lines(scan_torus_virtualizations(5, 4), False)
+        assert json.loads(summary)["summary"]["subsets"] == 1 << 16
+        assert calls["encodings"] <= calls["decodes"] <= 481
 
 
 class TestVerify:

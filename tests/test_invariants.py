@@ -1,11 +1,9 @@
 """Index polynomials: chord and crossing indices, P, u, the lower bound."""
 
-import json
 import random
 
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from vknot.braid import (classical, component_count, BraidWord, make_ijk, make_vt,
                          parse_braid, virtual)
@@ -65,19 +63,6 @@ class TestIndexPolynomial:
         data = value.to_json_dict()
         assert data == {"terms": [{"exp": 2, "coef": 1}, {"exp": 1, "coef": -2}]}
         assert IndexPolynomial.from_json_dict(data) == value
-
-    @given(st.dictionaries(st.integers(1, 40), st.integers(-50, 50), max_size=8))
-    @example({})
-    @example({12: -3, 10: 1, 1: -1})
-    def test_cached_json_text_is_the_encoded_dict(self, coefficients):
-        value, twin = poly(coefficients), poly(coefficients)
-        before = (hash(value), repr(value))
-        text = value.json_text
-        assert text == json.dumps(value.to_json_dict(), sort_keys=True)
-        assert value.json_text is text
-        assert IndexPolynomial.from_json_dict(json.loads(text)) == value
-        assert value == twin and twin == value
-        assert (hash(value), repr(value)) == before == (hash(twin), repr(twin))
 
     @pytest.mark.parametrize("coefficients,text", [
         ({}, "0"),

@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vknot.braid import make_vt
@@ -138,23 +138,26 @@ class TestScan:
     @pytest.mark.parametrize("p,q", [(3, 11), (4, 7), (5, 6), (7, 4)])
     def test_sampled_subsets_match_a_trace_beyond_16_chords(self, p, q):
         # too many subsets to trace them all, so a seeded sample of 200
-        # goes through one function, as a scan does
-        invariants_without = _invariants_without(gauss_from_closure(torus_word(p, q)))
+        # goes through one memo, as a scan's subsets do
         total = (p - 1) * q
         rng = random.Random(total * 100 + p)
-        for _ in range(200):
-            subset = tuple(sorted(rng.sample(range(total), rng.randint(0, total))))
+        subsets = [tuple(sorted(rng.sample(range(total), rng.randint(0, total))))
+                   for _ in range(200)]
+        base = gauss_from_closure(torus_word(p, q))
+        for subset, u_and_p in _invariants_without(base, subsets):
             diagram = gauss_from_closure(virtualize_subset(p, q, subset))
-            assert invariants_without(subset) == (u_invariant(diagram),
-                                                  p_invariant(diagram))
+            assert u_and_p == (u_invariant(diagram), p_invariant(diagram))
 
     def test_polynomials_are_shared_per_memo_entry(self):
-        # every subset with the same (u, P) gets the same two objects, so
-        # each polynomial's cached JSON is encoded once per memo entry; the
-        # dict keeps every object alive, so no id is reused
-        records = scan_torus_virtualizations(5, 4)
-        polynomials = {id(record.P): record.P for record in records}
-        assert len(polynomials) <= 481
+        # every subset with the same memo key gets the same two objects, and
+        # equal polynomials are one object; the dict keeps every object
+        # alive, so no id is reused
+        entries, polynomials = set(), {}
+        for record in scan_torus_virtualizations(5, 4):
+            entries.add((id(record.u), id(record.P)))
+            polynomials.update({id(record.u): record.u, id(record.P): record.P})
+        assert len(entries) <= 481
+        assert len(polynomials) == len(set(polynomials.values()))
 
     def test_summary_json_shape(self):
         summary = summarize_scan(scan_torus_virtualizations(3, 2))
@@ -192,6 +195,21 @@ class TestScanRecord:
         assert record.to_json_line() == json.dumps(record.to_json_dict(),
                                                    sort_keys=True) + "\n"
 
+    @given(st.lists(st.integers(0, 10_000), max_size=6), st.integers(1, 9),
+           st.dictionaries(st.integers(1, 40), st.integers(-50, 50), max_size=8),
+           st.dictionaries(st.integers(1, 40), st.integers(-50, 50), max_size=8))
+    @example([], 1, {}, {})
+    @example([0, 12], 1, {12: -3, 10: 1, 1: -1}, {1: 2})
+    def test_json_parts_wrap_any_subset(self, subset, components, u, P):
+        # the parts depend on (components, u, P) alone, and any subset's
+        # positions between them give the record's sorted JSON line
+        u, P = (IndexPolynomial.from_coefficients(c) for c in (u, P))
+        record = ScanRecord(tuple(subset), components, u, P)
+        head, tail = ScanRecord((), components, u, P).json_parts()
+        expected = json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+        assert head + ", ".join(map(str, subset)) + tail == expected
+        assert record.to_json_line() == expected
+
 
 class TestChordDeletion:
     @given(gauss_diagrams(max_chords=7), st.data())
@@ -209,15 +227,16 @@ class TestChordDeletion:
 
     @given(gauss_diagrams(max_chords=6))
     def test_memoised_polynomials_match_the_smaller_diagram(self, diagram):
-        # every subset through one function, as a scan does, so that
-        # subsets whose indices agree but whose signs differ meet in the memo
-        invariants_without = _invariants_without(diagram)
+        # every subset through one memo, as in a scan, so that subsets
+        # whose indices agree but whose signs differ meet in the memo
         chords = range(diagram.n_chords)
-        for size in range(diagram.n_chords + 1):
-            for subset in itertools.combinations(chords, size):
-                smaller = remove_chords(diagram, subset)
-                assert invariants_without(subset) == (u_invariant(smaller),
-                                                      p_invariant(smaller))
+        subsets = [subset for size in range(diagram.n_chords + 1)
+                   for subset in itertools.combinations(chords, size)]
+        pairs = list(_invariants_without(diagram, subsets))
+        assert [subset for subset, _ in pairs] == subsets
+        for subset, u_and_p in pairs:
+            smaller = remove_chords(diagram, subset)
+            assert u_and_p == (u_invariant(smaller), p_invariant(smaller))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 63, 64, 65, 66])
     def test_indices_at_the_field_width_edges(self, n):
@@ -242,11 +261,9 @@ class TestChordDeletion:
             diagram = GaussDiagram(tuple(endpoints), tuple(signs))
             if signs[1:] == [signs[0]] * (n - 1):
                 assert abs(_arc_sums(diagram)[0]) == n - 1
-            invariants_without = _invariants_without(diagram)
-            for subset in subsets:
+            for subset, u_and_p in _invariants_without(diagram, subsets):
                 smaller = remove_chords(diagram, subset)
-                assert invariants_without(subset) == (u_invariant(smaller),
-                                                      p_invariant(smaller))
+                assert u_and_p == (u_invariant(smaller), p_invariant(smaller))
 
 
 class TestTable:
