@@ -20,10 +20,9 @@ not) read.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 class LetterKind(Enum):
@@ -39,21 +38,25 @@ class RewriteError(ValueError):
     """A rewrite that does not apply at its stated location."""
 
 
-@dataclass(frozen=True)
-class BraidLetter:
-    """A single generator acting on strand positions ``index`` and ``index + 1``."""
-
+class _BraidLetter(NamedTuple):
     kind: LetterKind
     index: int
-    sign: int = 1
+    sign: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"letter index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
-        if self.kind is LetterKind.VIRTUAL and self.sign != 1:
+
+class BraidLetter(_BraidLetter):
+    """A single generator acting on strand positions ``index`` and ``index + 1``."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: LetterKind, index: int, sign: int = 1) -> BraidLetter:
+        if index < 1:
+            raise ValueError(f"letter index must be >= 1, got {index}")
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+        if kind is LetterKind.VIRTUAL and sign != 1:
             raise ValueError("virtual letters always carry sign +1")
+        return tuple.__new__(cls, (kind, index, sign))
 
     @property
     def is_classical(self) -> bool:
@@ -77,24 +80,30 @@ def virtual(index: int) -> BraidLetter:
     return BraidLetter(LetterKind.VIRTUAL, index)
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    """An ordered sequence of letters on ``strands`` strands."""
-
+class _BraidWord(NamedTuple):
     strands: int
-    letters: tuple[BraidLetter, ...] = ()
+    letters: tuple[BraidLetter, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        if max(map(attrgetter("index"), self.letters), default=0) >= self.strands:
-            letter = next(letter for letter in self.letters
-                          if letter.index >= self.strands)
+
+class BraidWord(_BraidWord):
+    """An ordered sequence of letters on ``strands`` strands.
+
+    ``len`` counts the letters, not the two fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, strands: int, letters: Iterable[BraidLetter] = ()) -> BraidWord:
+        letters = tuple(letters)
+        if strands < 1:
+            raise ValueError(f"strand count must be >= 1, got {strands}")
+        if max(map(attrgetter("index"), letters), default=0) >= strands:
+            letter = next(letter for letter in letters if letter.index >= strands)
             raise ValueError(
                 f"letter {letter.token()} needs at least {letter.index + 1} "
-                f"strands, word has {self.strands}"
+                f"strands, word has {strands}"
             )
+        return tuple.__new__(cls, (strands, letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -152,8 +161,12 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
 _FAMILY_PARAMS = re.compile(r"-?[0-9]+(,-?[0-9]+)*\Z")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _FamilySpec(NamedTuple):
+    variant: str
+    params: tuple[int, int, int]
+
+
+class FamilySpec(_FamilySpec):
     """A named diagram family plus its three integer parameters.
 
     ``vt:P,Q,N`` is the standard (P,Q) torus braid with its first N ascending
@@ -161,16 +174,16 @@ class FamilySpec:
     to a singly-virtualized torus braid.
     """
 
-    variant: str
-    params: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, variant: str, params: Iterable[int]) -> FamilySpec:
         # the parameter ranges are make_vt's and make_ijk's to check
-        object.__setattr__(self, "params", tuple(self.params))
-        if len(self.params) != 3:
+        params = tuple(params)
+        if len(params) != 3:
             raise ValueError("families take exactly three parameters")
-        if self.variant not in ("vt", "ijk"):
-            raise ValueError(f"unknown family variant {self.variant!r}")
+        if variant not in ("vt", "ijk"):
+            raise ValueError(f"unknown family variant {variant!r}")
+        return tuple.__new__(cls, (variant, params))
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
@@ -314,8 +327,7 @@ class RewriteKind(Enum):
 _Letters = tuple[BraidLetter, ...]
 
 
-@dataclass(frozen=True)
-class Rewrite:
+class Rewrite(NamedTuple):
     """One closure-preserving move, located by word position.
 
     ``index`` is set only for insertions and ``sign`` only for classical

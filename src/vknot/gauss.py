@@ -11,9 +11,8 @@ invariant downstream is defined cyclically and so cannot depend on them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .braid import BraidWord, LetterKind, _cycles
 
@@ -38,37 +37,44 @@ class GaussCodeError(ValueError):
     """Malformed Gauss-code text."""
 
 
-@dataclass(frozen=True)
-class GaussDiagram:
+class _GaussDiagram(NamedTuple):
+    endpoints: tuple[tuple[int, Role], ...]
+    signs: tuple[int, ...]
+
+
+class GaussDiagram(_GaussDiagram):
     """Cyclic endpoint sequence with one sign per chord.
 
     Chord ids are dense integers in [0, n_chords); each id appears exactly
     once with each role.  The walk that checks this also records where
-    each chord's over and under endpoints sit.
+    each chord's over and under endpoints sit, in the instance dict, so the
+    tuple and with it equality, hash and repr hold only the two fields.
     """
 
-    endpoints: tuple[tuple[int, Role], ...]
-    signs: tuple[int, ...]
-    _positions: tuple[tuple[int, ...], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "endpoints", tuple(self.endpoints))
-        object.__setattr__(self, "signs", tuple(self.signs))
-        n = len(self.signs)
-        if len(self.endpoints) != 2 * n:
+    def __new__(cls, endpoints: Iterable[tuple[int, Role]],
+                signs: Iterable[int]) -> GaussDiagram:
+        endpoints, signs = tuple(endpoints), tuple(signs)
+        n = len(signs)
+        if len(endpoints) != 2 * n:
             raise ValueError("endpoint sequence must list every chord twice")
         over, under = [-1] * n, [-1] * n
-        for position, (chord, role) in enumerate(self.endpoints):
+        for position, (chord, role) in enumerate(endpoints):
             if not 0 <= chord < n:
                 raise ValueError(f"chord id {chord} out of range for {n} chords")
             seen = over if role is Role.OVER else under
             if seen[chord] >= 0:
                 raise ValueError(f"chord {chord} repeats role {role.value}")
             seen[chord] = position
-        if any(sign not in (1, -1) for sign in self.signs):
+        if any(sign not in (1, -1) for sign in signs):
             raise ValueError("chord signs must be +1 or -1")
-        object.__setattr__(self, "_positions", (tuple(over), tuple(under)))
+        self = tuple.__new__(cls, (endpoints, signs))
+        self.__dict__["_positions"] = (tuple(over), tuple(under))
+        return self
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: GaussDiagram is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def n_chords(self) -> int:

@@ -28,17 +28,19 @@ only a global sign; negating the polynomial gives the mirror convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from sys import byteorder
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .braid import _OnFirstUse
 from .gauss import GaussDiagram, Role
 
 
-@dataclass(frozen=True)
-class IndexPolynomial:
+class _IndexPolynomial(NamedTuple):
+    terms: tuple[tuple[int, int], ...]
+
+
+class IndexPolynomial(_IndexPolynomial):
     """Sparse integer polynomial in t with exponents >= 1.
 
     ``terms`` holds (exponent, coefficient) pairs in strictly descending
@@ -46,13 +48,12 @@ class IndexPolynomial:
     equality of coefficient maps.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms",
-                           tuple((int(m), int(b)) for m, b in self.terms))
+    def __new__(cls, terms: Iterable[tuple[int, int]] = ()) -> IndexPolynomial:
+        terms = tuple((int(m), int(b)) for m, b in terms)
         previous = None
-        for exponent, coefficient in self.terms:
+        for exponent, coefficient in terms:
             if exponent < 1:
                 raise ValueError(f"exponents must be >= 1, got {exponent}")
             if coefficient == 0:
@@ -60,6 +61,7 @@ class IndexPolynomial:
             if previous is not None and exponent >= previous:
                 raise ValueError("terms must be in strictly descending order")
             previous = exponent
+        return tuple.__new__(cls, (terms,))
 
     @classmethod
     def from_coefficients(cls, coefficients: Mapping[int, int]) -> "IndexPolynomial":
@@ -272,11 +274,10 @@ def crossing_index(diagram: GaussDiagram, chord: int) -> int:
     case.  Linked pairs contribute antisymmetrically, so these values always
     sum to zero over the whole diagram.
     """
-    diagram.check_chord(chord)
     if any(s != 1 for s in diagram.signs):
         raise ValueError("crossing index needs an all-positive diagram; "
                          "normalize first")
-    return _arc_sums(diagram)[chord]
+    return chord_index(diagram, chord)
 
 
 def u_invariant(diagram: GaussDiagram) -> IndexPolynomial:

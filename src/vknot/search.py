@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -136,16 +135,24 @@ def scan_torus_virtualizations(p: int, q: int,
         yield new(ScanRecord, (subset, components) + u_and_p)
 
 
-@dataclass
 class ScanSummary:
     """Scan counts, folded by ``add``, so a streamed scan is summarised
-    without keeping its records."""
+    without keeping its records.  Compares, prints and encodes its
+    attributes, which ``__init__`` sets in field order."""
 
-    subsets: int = 0
-    knots: int = 0
-    nonzero_u: int = 0
-    pattern_attained: bool = False
-    first_nonzero_u: tuple[int, ...] | None = None
+    def __init__(self, subsets: int = 0, knots: int = 0, nonzero_u: int = 0,
+                 pattern_attained: bool = False,
+                 first_nonzero_u: tuple[int, ...] | None = None) -> None:
+        self.subsets, self.knots, self.nonzero_u = subsets, knots, nonzero_u
+        self.pattern_attained, self.first_nonzero_u = pattern_attained, first_nonzero_u
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"ScanSummary({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def add(self, record: ScanRecord, count: int = 1) -> None:
         """Fold ``record`` in as ``count`` records of its (components, u, P),
@@ -162,14 +169,8 @@ class ScanSummary:
                 self.pattern_attained = record.u.abs_coefficients() == REPORTED_U_PATTERN
 
     def to_json_dict(self) -> dict:
-        return {
-            "subsets": self.subsets,
-            "knots": self.knots,
-            "nonzero_u": self.nonzero_u,
-            "pattern_attained": self.pattern_attained,
-            "first_nonzero_u": (None if self.first_nonzero_u is None
-                                else list(self.first_nonzero_u)),
-        }
+        first = self.first_nonzero_u
+        return {**vars(self), "first_nonzero_u": None if first is None else list(first)}
 
 
 def summarize_scan(records: Iterable[ScanRecord]) -> ScanSummary:
@@ -181,8 +182,7 @@ def summarize_scan(records: Iterable[ScanRecord]) -> ScanSummary:
     return summary
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     p: int
     q: int
     half_sum: int | float

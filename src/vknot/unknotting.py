@@ -21,9 +21,8 @@ lower bound with equality across a whole parameter range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .braid import (BraidWord, _block_indices, _cycles, _occupants,
                     component_count, make_ijk)
@@ -70,17 +69,20 @@ class TerminalStateError(Exception):
     """The state is already the unknot (j = 1, k = 0)."""
 
 
-@dataclass(frozen=True)
-class IJKState:
+class _IJKState(NamedTuple):
     i: int
     j: int
     k: int
 
-    def __post_init__(self) -> None:
-        if self.i < 2 or self.j < 1 or not 0 <= self.k < self.i:
+
+class IJKState(_IJKState):
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, k: int) -> IJKState:
+        if i < 2 or j < 1 or not 0 <= k < i:
             raise ValueError(
-                f"invalid state ({self.i},{self.j},{self.k}): "
-                "need i >= 2, j >= 1, 0 <= k < i")
+                f"invalid state ({i},{j},{k}): need i >= 2, j >= 1, 0 <= k < i")
+        return tuple.__new__(cls, (i, j, k))
 
     def __str__(self) -> str:
         return f"({self.i},{self.j},{self.k})"
@@ -99,65 +101,74 @@ class IJKState:
         return make_ijk(self.i, self.j, self.k)
 
 
-@dataclass(frozen=True)
-class UnknottingStep:
-    """One move; its kind's guard, target and cost are checked on build."""
-
+class _UnknottingStep(NamedTuple):
     kind: StepKind
     before: IJKState
     after: IJKState
     changes: int
 
-    def __post_init__(self) -> None:
-        guard, target, cost = _MOVES[self.kind]
-        triple = self.before.as_tuple()
-        if not (guard(*triple) and self.after.as_tuple() == target(*triple)
-                and self.changes == cost(*triple)):
+
+class UnknottingStep(_UnknottingStep):
+    """One move; its kind's guard, target and cost are checked on build."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: StepKind, before: IJKState, after: IJKState,
+                changes: int) -> UnknottingStep:
+        guard, target, cost = _MOVES[kind]
+        # states are (i, j, k) tuples, so target's plain triple compares equal
+        if not (guard(*before) and after == target(*before)
+                and changes == cost(*before)):
             raise ValueError(
-                f"invalid {self.kind.value} step {self.before} -> {self.after} "
-                f"({self.changes} changes)")
+                f"invalid {kind.value} step {before} -> {after} ({changes} changes)")
+        return tuple.__new__(cls, (kind, before, after, changes))
 
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind.value,
-            "before": list(self.before.as_tuple()),
-            "after": list(self.after.as_tuple()),
+            "before": list(self.before),
+            "after": list(self.after),
             "changes": self.changes,
         }
 
 
-@dataclass(frozen=True)
-class UnknottingSequence:
+class _UnknottingSequence(NamedTuple):
+    start: IJKState
+    steps: tuple[UnknottingStep, ...]
+    total_changes: int
+    op_count: int
+
+
+class UnknottingSequence(_UnknottingSequence):
     """A chained run of steps ending at a terminal (i, 1, 0) state.
 
     ``total_changes`` is forced to equal half the start state's classical
     crossing count; ``op_count`` counts the A/B/C moves, full-twist
-    reductions excluded.
+    reductions excluded.  Both are worked out from ``start`` and ``steps``.
     """
 
-    start: IJKState
-    steps: tuple[UnknottingStep, ...]
-    total_changes: int = field(init=False)
-    op_count: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        state = self.start
-        for step in self.steps:
+    def __new__(cls, start: IJKState,
+                steps: Iterable[UnknottingStep]) -> UnknottingSequence:
+        steps = tuple(steps)
+        state = start
+        for step in steps:
             if step.before != state:
                 raise ValueError(f"steps do not chain at {step.before}")
             state = step.after
         if not state.is_terminal:
             raise ValueError(f"sequence ends at non-terminal state {state}")
-        total = sum(step.changes for step in self.steps)
-        crossings = self.start.crossing_count()
+        total = sum(step.changes for step in steps)
+        crossings = start.crossing_count()
         if 2 * total != crossings:
             raise ValueError(
                 f"change total {total} is not half of {crossings} crossings")
-        object.__setattr__(self, "total_changes", total)
-        object.__setattr__(
-            self, "op_count",
-            sum(1 for step in self.steps if step.kind is not StepKind.REDUCE))
+        ops = sum(1 for step in steps if step.kind is not StepKind.REDUCE)
+        return tuple.__new__(cls, (start, steps, total, ops))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle pass only the inputs
+        return self[:2]
 
     @property
     def final(self) -> IJKState:
@@ -168,7 +179,7 @@ class UnknottingSequence:
 
     def to_json_dict(self) -> dict:
         return {
-            "start": list(self.start.as_tuple()),
+            "start": list(self.start),
             "steps": [step.to_json_dict() for step in self.steps],
             "total_changes": self.total_changes,
             "op_count": self.op_count,
@@ -185,11 +196,9 @@ def next_step(state: IJKState) -> UnknottingStep:
     """
     if state.is_terminal:
         raise TerminalStateError(f"{state} is already the unknot")
-    triple = state.as_tuple()
     for kind, (guard, target, cost) in _MOVES.items():
-        if guard(*triple):
-            return UnknottingStep(kind, state, IJKState(*target(*triple)),
-                                  cost(*triple))
+        if guard(*state):
+            return UnknottingStep(kind, state, IJKState(*target(*state)), cost(*state))
     raise NotAKnotError(state, component_count(state.braid_word()))
 
 
@@ -233,8 +242,7 @@ def knot_parameter_triples(max_i: int) -> Iterator[tuple[int, int, int]]:
                     yield (i, j, k)
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     i: int
     j: int
     k: int
@@ -250,8 +258,7 @@ class VerifyRow:
                 "pass": self.passed}
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     max_i: int
     rows: tuple[VerifyRow, ...]
 
@@ -277,8 +284,10 @@ class VerifyReport:
 
 
 def _state_check(state: IJKState, cache: dict) -> str:
-    """Empty string when the state is a knot with zero u, else a complaint."""
-    key = state.as_tuple()
+    """Empty string when the state is a knot with zero u, else a complaint,
+    kept in ``cache`` under the state's text (the state itself keys its
+    first move there, and equals its plain (i, j, k) tuple)."""
+    key = str(state)
     if key not in cache:
         try:
             diagram = gauss_from_closure(state.braid_word())
@@ -299,7 +308,7 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
     must stay a knot with vanishing u.
 
     ``cache``, when shared across rows, keeps each state's first move (keyed
-    by the state) and its check message (keyed by its triple).
+    by the state) and its check message (keyed by its text, "(i,j,k)").
     """
     if cache is None:
         cache = {}
@@ -316,7 +325,7 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
     if not lower == upper == formula:
         problems.append(
             f"bounds disagree: lower={lower} upper={upper} formula={formula}")
-    cache[state.as_tuple()] = _u_message(state, u)
+    cache[str(state)] = _u_message(state, u)
     for intermediate in sequence.states():
         message = _state_check(intermediate, cache)
         if message:
