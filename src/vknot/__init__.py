@@ -28,13 +28,8 @@ from .gauss import (
     emit_gauss_code,
     flip,
     gauss_from_closure,
-    linked,
     normalize_positive,
     parse_gauss_code,
-    r1_reduce,
-    r2_reduce,
-    rotate_basepoint,
-    simplify,
 )
 from .invariants import (
     IndexPolynomial,

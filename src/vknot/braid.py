@@ -38,22 +38,33 @@ class RewriteError(ValueError):
     """A rewrite that does not apply at its stated location."""
 
 
+class _Checked:
+    """Base for named tuples whose ``__new__`` checks the fields: ``_make``,
+    and with it ``_replace``, builds through ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Any:
+        return cls(*iterable)
+
+
 class _BraidLetter(NamedTuple):
     kind: LetterKind
     index: int
     sign: int
 
 
-class BraidLetter(_BraidLetter):
+class BraidLetter(_Checked, _BraidLetter):
     """A single generator acting on strand positions ``index`` and ``index + 1``."""
 
     __slots__ = ()
 
     def __new__(cls, kind: LetterKind, index: int, sign: int = 1) -> BraidLetter:
-        if index < 1:
-            raise ValueError(f"letter index must be >= 1, got {index}")
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+        if type(index) is not int or index < 1:
+            raise ValueError(f"letter index must be an integer >= 1, got {index!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
         if kind is LetterKind.VIRTUAL and sign != 1:
             raise ValueError("virtual letters always carry sign +1")
         return tuple.__new__(cls, (kind, index, sign))
@@ -85,7 +96,7 @@ class _BraidWord(NamedTuple):
     letters: tuple[BraidLetter, ...]
 
 
-class BraidWord(_BraidWord):
+class BraidWord(_Checked, _BraidWord):
     """An ordered sequence of letters on ``strands`` strands.
 
     ``len`` counts the letters, not the two fields.
@@ -166,7 +177,7 @@ class _FamilySpec(NamedTuple):
     params: tuple[int, int, int]
 
 
-class FamilySpec(_FamilySpec):
+class FamilySpec(_Checked, _FamilySpec):
     """A named diagram family plus its three integer parameters.
 
     ``vt:P,Q,N`` is the standard (P,Q) torus braid with its first N ascending

@@ -14,7 +14,7 @@ import re
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .braid import BraidWord, LetterKind, _cycles
+from .braid import BraidWord, LetterKind, _Checked, _cycles
 
 
 class Role(Enum):
@@ -42,7 +42,7 @@ class _GaussDiagram(NamedTuple):
     signs: tuple[int, ...]
 
 
-class GaussDiagram(_GaussDiagram):
+class GaussDiagram(_Checked, _GaussDiagram):
     """Cyclic endpoint sequence with one sign per chord.
 
     Chord ids are dense integers in [0, n_chords); each id appears exactly
@@ -65,7 +65,7 @@ class GaussDiagram(_GaussDiagram):
             if seen[chord] >= 0:
                 raise ValueError(f"chord {chord} repeats role {role.value}")
             seen[chord] = position
-        if any(sign not in (1, -1) for sign in signs):
+        if not {*signs} <= {1, -1} or not {*map(type, signs)} <= {int}:
             raise ValueError("chord signs must be +1 or -1")
         self = tuple.__new__(cls, (endpoints, signs))
         self.__dict__["_positions"] = (tuple(over), tuple(under))
@@ -147,73 +147,6 @@ def normalize_positive(diagram: GaussDiagram) -> GaussDiagram:
     return _flip_chords(diagram, negative) if negative else diagram
 
 
-def rotate_basepoint(diagram: GaussDiagram, offset: int) -> GaussDiagram:
-    """Move the basepoint ``offset`` endpoints forward along the circle."""
-    total = len(diagram.endpoints)
-    if total == 0:
-        return diagram
-    offset %= total
-    return GaussDiagram(diagram.endpoints[offset:] + diagram.endpoints[:offset],
-                        diagram.signs)
-
-
-def linked(diagram: GaussDiagram, c: int, d: int) -> bool:
-    """True when d's endpoints interleave with c's around the circle."""
-    diagram.check_chord(c)
-    diagram.check_chord(d)
-    if c == d:
-        raise ValueError("linkage needs two distinct chords")
-    over, under = diagram.chord_positions()
-    total = len(diagram.endpoints)
-    start = over[c]
-    span = (under[c] - start) % total
-    inside_over = 0 < (over[d] - start) % total < span
-    inside_under = 0 < (under[d] - start) % total < span
-    return inside_over != inside_under
-
-
-def find_r1_chord(diagram: GaussDiagram) -> int | None:
-    """First chord whose two endpoints are cyclically adjacent, if any."""
-    total = len(diagram.endpoints)
-    for position in range(total):
-        chord = diagram.endpoints[position][0]
-        if diagram.endpoints[(position + 1) % total][0] == chord:
-            return chord
-    return None
-
-
-def find_r2_pair(diagram: GaussDiagram) -> tuple[int, int] | None:
-    """First cancelling pair: the four endpoints form two cyclically adjacent
-    pairs, each holding one endpoint of either chord, the chords have
-    opposite signs, and the roles within a pair agree (so the two heads sit
-    together, equivalently the two tails do).
-
-    Both endpoint arrangements qualify: the nested one (c d ... d c) and the
-    crossed one (c d ... c d).
-    """
-    total = len(diagram.endpoints)
-    if diagram.n_chords < 2:
-        return None
-    over, under = diagram.chord_positions()
-
-    def other(chord: int, position: int) -> int:
-        return over[chord] if under[chord] == position else under[chord]
-
-    for position in range(total):
-        c, role_c = diagram.endpoints[position]
-        follower = (position + 1) % total
-        d, role_d = diagram.endpoints[follower]
-        if c == d or role_c is not role_d:
-            continue
-        if diagram.signs[c] != -diagram.signs[d]:
-            continue
-        oc = other(c, position)
-        od = other(d, follower)
-        if (od + 1) % total == oc or (oc + 1) % total == od:
-            return (c, d)
-    return None
-
-
 def remove_chords(diagram: GaussDiagram, chords: Iterable[int]) -> GaussDiagram:
     """Drop the given chords and re-index the survivors densely."""
     doomed = set(chords)
@@ -227,36 +160,6 @@ def remove_chords(diagram: GaussDiagram, chords: Iterable[int]) -> GaussDiagram:
         (relabel[c], role) for c, role in diagram.endpoints if c not in doomed)
     signs = tuple(s for c, s in enumerate(diagram.signs) if c not in doomed)
     return GaussDiagram(endpoints, signs)
-
-
-def r1_reduce(diagram: GaussDiagram) -> GaussDiagram:
-    """Remove one chord with cyclically adjacent endpoints; no-op if none."""
-    chord = find_r1_chord(diagram)
-    if chord is None:
-        return diagram
-    return remove_chords(diagram, (chord,))
-
-
-def r2_reduce(diagram: GaussDiagram) -> GaussDiagram:
-    """Remove one cancelling pair (see find_r2_pair); no-op if none."""
-    pair = find_r2_pair(diagram)
-    if pair is None:
-        return diagram
-    return remove_chords(diagram, pair)
-
-
-def simplify(diagram: GaussDiagram) -> GaussDiagram:
-    """Apply both reductions greedily until neither fires."""
-    while True:
-        reduced = r1_reduce(diagram)
-        if reduced is not diagram:
-            diagram = reduced
-            continue
-        reduced = r2_reduce(diagram)
-        if reduced is not diagram:
-            diagram = reduced
-            continue
-        return diagram
 
 
 _GAUSS_TOKEN = re.compile(r"([OU])([0-9]+)([+-])\Z")

@@ -32,7 +32,7 @@ from itertools import accumulate
 from sys import byteorder
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .braid import _OnFirstUse
+from .braid import _Checked, _OnFirstUse
 from .gauss import GaussDiagram, Role
 
 
@@ -40,7 +40,7 @@ class _IndexPolynomial(NamedTuple):
     terms: tuple[tuple[int, int], ...]
 
 
-class IndexPolynomial(_IndexPolynomial):
+class IndexPolynomial(_Checked, _IndexPolynomial):
     """Sparse integer polynomial in t with exponents >= 1.
 
     ``terms`` holds (exponent, coefficient) pairs in strictly descending
@@ -51,11 +51,12 @@ class IndexPolynomial(_IndexPolynomial):
     __slots__ = ()
 
     def __new__(cls, terms: Iterable[tuple[int, int]] = ()) -> IndexPolynomial:
-        terms = tuple((int(m), int(b)) for m, b in terms)
+        terms = tuple((m, b) for m, b in terms)
         previous = None
         for exponent, coefficient in terms:
-            if exponent < 1:
-                raise ValueError(f"exponents must be >= 1, got {exponent}")
+            if not type(exponent) is type(coefficient) is int or exponent < 1:
+                raise ValueError("terms need integer exponents >= 1, got "
+                                 f"{(exponent, coefficient)!r}")
             if coefficient == 0:
                 raise ValueError("zero coefficients must be dropped")
             if previous is not None and exponent >= previous:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
-from .braid import (BraidWord, _block_indices, _cycles, _occupants,
+from .braid import (BraidWord, _Checked, _block_indices, _cycles, _occupants,
                     component_count, make_ijk)
 from .gauss import MultiComponentError, gauss_from_closure
 from .invariants import IndexPolynomial, bound_from_p, u_and_p
@@ -75,13 +75,14 @@ class _IJKState(NamedTuple):
     k: int
 
 
-class IJKState(_IJKState):
+class IJKState(_Checked, _IJKState):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int, k: int) -> IJKState:
-        if i < 2 or j < 1 or not 0 <= k < i:
-            raise ValueError(
-                f"invalid state ({i},{j},{k}): need i >= 2, j >= 1, 0 <= k < i")
+        if (not type(i) is type(j) is type(k) is int
+                or i < 2 or j < 1 or not 0 <= k < i):
+            raise ValueError(f"invalid state ({i!r},{j!r},{k!r}): need integers "
+                             "i >= 2, j >= 1, 0 <= k < i")
         return tuple.__new__(cls, (i, j, k))
 
     def __str__(self) -> str:
@@ -108,7 +109,7 @@ class _UnknottingStep(NamedTuple):
     changes: int
 
 
-class UnknottingStep(_UnknottingStep):
+class UnknottingStep(_Checked, _UnknottingStep):
     """One move; its kind's guard, target and cost are checked on build."""
 
     __slots__ = ()
@@ -118,7 +119,7 @@ class UnknottingStep(_UnknottingStep):
         guard, target, cost = _MOVES[kind]
         # states are (i, j, k) tuples, so target's plain triple compares equal
         if not (guard(*before) and after == target(*before)
-                and changes == cost(*before)):
+                and type(changes) is int and changes == cost(*before)):
             raise ValueError(
                 f"invalid {kind.value} step {before} -> {after} ({changes} changes)")
         return tuple.__new__(cls, (kind, before, after, changes))
@@ -169,6 +170,17 @@ class UnknottingSequence(_UnknottingSequence):
 
     def __getnewargs__(self) -> tuple:  # copy and pickle pass only the inputs
         return self[:2]
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> UnknottingSequence:
+        """Rebuild from ``start`` and ``steps``; the totals given with them
+        must be the ones worked out."""
+        values = tuple(iterable)
+        sequence = cls(*values[:2])
+        if values[2:] != sequence[2:]:
+            raise ValueError(f"totals {values[2:]} differ from the worked-out "
+                             f"{sequence[2:]}")
+        return sequence
 
     @property
     def final(self) -> IJKState:
@@ -266,9 +278,6 @@ class VerifyReport(NamedTuple):
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
-    def failures(self) -> list[VerifyRow]:
-        return [row for row in self.rows if not row.passed]
-
     def to_json_rows(self) -> list[dict]:
         return [row.to_json_dict() for row in self.rows]
 
@@ -313,11 +322,11 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
     if cache is None:
         cache = {}
     state = IJKState(i, j, k)
-    crossings = state.crossing_count()
-    formula = crossings // 2
+    # a knot's permutation is one i-cycle, a product of i-1 transpositions,
+    # so its (i-1)j + k letters have i-1's parity and its crossing count
+    # (i-1)(j-1) + k is even; UnknottingSequence would raise on an odd one
+    formula = state.crossing_count() // 2
     problems: list[str] = []
-    if crossings % 2:
-        problems.append(f"odd crossing count {crossings}")
     u, p = u_and_p(gauss_from_closure(state.braid_word()))
     lower = bound_from_p(p)
     sequence = UnknottingSequence(state, _walk(state, cache))

@@ -10,7 +10,7 @@ and the braid rewrites and unknotting moves as if-chains.
 """
 
 from vknot.braid import BraidWord, Rewrite, RewriteKind, make_ijk
-from vknot.gauss import GaussDiagram, MultiComponentError, Role
+from vknot.gauss import GaussDiagram, MultiComponentError, Role, remove_chords
 from vknot.unknotting import IJKState, StepKind, UnknottingSequence
 
 
@@ -292,6 +292,22 @@ def r2_removable_pairs(diagram: GaussDiagram) -> set[frozenset]:
     return pairs
 
 
+def reduce_r1_r2(diagram: GaussDiagram) -> GaussDiagram:
+    """Remove R1 kinks, else the least cancelling pair, until neither is left."""
+    while True:
+        doomed = r1_chords(diagram) or min(r2_removable_pairs(diagram),
+                                           key=sorted, default=())
+        if not doomed:
+            return diagram
+        diagram = remove_chords(diagram, doomed)
+
+
+def rotate(diagram: GaussDiagram, offset: int) -> GaussDiagram:
+    """Move the basepoint ``offset`` endpoints forward along the circle."""
+    endpoints = diagram.endpoints
+    return GaussDiagram(endpoints[offset:] + endpoints[:offset], diagram.signs)
+
+
 def oracle_move_rule(kind: StepKind, i: int, j: int,
                      k: int) -> tuple[bool, tuple[int, int, int], int]:
     """Whether ``kind`` applies at (i, j, k), and its target and cost."""
@@ -341,22 +357,3 @@ def replay_sequence(sequence: UnknottingSequence) -> None:
         state = step.after
     assert state.j == 1 and state.k == 0
     assert total == sequence.total_changes
-
-
-def diagram_from_layout(layout: list[int], over_first: list[bool],
-                        signs: list[int]) -> GaussDiagram:
-    """Build a diagram from a chord-id layout for exhaustive enumeration.
-
-    ``over_first[c]`` says whether chord c's first occurrence in the layout
-    is its over endpoint.
-    """
-    seen: set[int] = set()
-    endpoints = []
-    for chord in layout:
-        first = chord not in seen
-        seen.add(chord)
-        if first == over_first[chord]:
-            endpoints.append((chord, Role.OVER))
-        else:
-            endpoints.append((chord, Role.UNDER))
-    return GaussDiagram(tuple(endpoints), tuple(signs))

@@ -19,7 +19,7 @@ from vknot.braid import (
     rewrite_moves,
 )
 from vknot.cli import main
-from vknot.gauss import emit_gauss_code, flip, gauss_from_closure, simplify
+from vknot.gauss import emit_gauss_code, flip, gauss_from_closure
 from vknot.invariants import (
     IndexPolynomial,
     chord_index,
@@ -40,6 +40,8 @@ from vknot.unknotting import (
     unknotting_sequence,
     verify_theorem2,
 )
+
+from oracles import reduce_r1_r2
 
 TABLE_COLUMN = {
     (3, 2): 0, (4, 3): 1, (5, 2): 0, (5, 3): 2, (5, 4): 4, (6, 5): 7,
@@ -176,7 +178,7 @@ def test_7_invariance_suite():
                       make_ijk(4, 3, 2), make_ijk(5, 4, 2), make_ijk(5, 5, 4),
                       make_ijk(6, 3, 2), make_ijk(6, 5, 0), make_ijk(7, 2, 2)]
         assert all(component_count(word) == 1 for word in walk_words)
-        rewrites_applied = 0
+        rewrites_applied = reductions = reducing_calls = 0
         for word in walk_words:
             base = gauss_from_closure(word)
             expected_p = p_invariant(base)
@@ -193,11 +195,15 @@ def test_7_invariance_suite():
                 assert u_invariant(diagram) == expected_u
                 _assert_crossing_indices_sum_to_zero(diagram)
                 if rewrites_applied % 9 == 0:
-                    reduced = simplify(diagram)
+                    reduced = reduce_r1_r2(diagram)
+                    reductions += 1
+                    reducing_calls += reduced.n_chords < diagram.n_chords
                     assert p_invariant(reduced) == expected_p
                     assert u_invariant(reduced) == expected_u
                     _assert_crossing_indices_sum_to_zero(reduced)
         assert rewrites_applied >= 1000
+        # the walk's inserted cancelling pairs give the reducer work to do
+        assert reducing_calls > reductions // 2
 
         for word in _family_words(8):
             diagram = gauss_from_closure(word)

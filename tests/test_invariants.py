@@ -13,7 +13,6 @@ from vknot.gauss import (
     gauss_from_closure,
     normalize_positive,
     parse_gauss_code,
-    rotate_basepoint,
 )
 from vknot.invariants import (
     IndexPolynomial,
@@ -27,7 +26,7 @@ from vknot.invariants import (
 )
 
 from oracles import (brute_chord_index, brute_crossing_index, brute_p_coefficients,
-                     brute_u_coefficients)
+                     brute_u_coefficients, rotate)
 from strategies import gauss_diagrams
 
 
@@ -63,6 +62,8 @@ class TestIndexPolynomial:
         data = value.to_json_dict()
         assert data == {"terms": [{"exp": 2, "coef": 1}, {"exp": 1, "coef": -2}]}
         assert IndexPolynomial.from_json_dict(data) == value
+        with pytest.raises(ValueError):  # no exponent is rounded to an integer
+            IndexPolynomial.from_json_dict({"terms": [{"exp": 1.9, "coef": 1}]})
 
     @pytest.mark.parametrize("coefficients,text", [
         ({}, "0"),
@@ -131,7 +132,7 @@ class TestPInvariant:
     def test_basepoint_rotation_invariance(self, diagram):
         baseline = p_invariant(diagram)
         for offset in range(1, len(diagram.endpoints)):
-            assert p_invariant(rotate_basepoint(diagram, offset)) == baseline
+            assert p_invariant(rotate(diagram, offset)) == baseline
 
 
 class TestLowerBound:
@@ -211,7 +212,7 @@ class TestUInvariant:
     def test_basepoint_rotation_invariance(self, diagram):
         baseline = u_invariant(diagram)
         for offset in range(1, len(diagram.endpoints)):
-            assert u_invariant(rotate_basepoint(diagram, offset)) == baseline
+            assert u_invariant(rotate(diagram, offset)) == baseline
 
     def test_nonzero_example_from_scan(self):
         # virtualizing crossings {0, 1, 4} of the (3,4) torus braid leaves a

@@ -47,6 +47,34 @@ class TestState:
         assert IJKState(3, 2, 2).braid_word() == make_ijk(3, 2, 2)
 
 
+def _knot_states(max_i):
+    """Every one-component (i, j, k) with 2 <= i <= max_i and j <= 2i + 1,
+    from the permutation's shape: j ascending blocks take 0-based position
+    p to p - j mod i, and the tail s_k ... s_1 takes k to 0 and each p < k
+    to p + 1.  One component means the cycle through 0 has length i."""
+    for i in range(2, max_i + 1):
+        for j in range(1, 2 * i + 2):
+            for k in range(i):
+                image = [(p - j) % i for p in range(i)]
+                image = [0 if p == k else p + (p < k) for p in image]
+                position, length = image[0], 1
+                while position:
+                    position, length = image[position], length + 1
+                if length == i:
+                    yield (i, j, k)
+
+
+def test_knot_states_have_even_crossing_counts():
+    # verify_row leans on this: a knot's permutation is one i-cycle
+    knots = list(_knot_states(40))
+    assert [state for state in knots if state[1] <= state[0]] == \
+        list(knot_parameter_triples(40))
+    assert [state for state in knots if state[0] <= 6] == [
+        (i, j, k) for i in range(2, 7) for j in range(1, 2 * i + 2) for k in range(i)
+        if oracle_cycle_count(make_ijk(i, j, k)) == 1]
+    assert all(IJKState(*state).crossing_count() % 2 == 0 for state in knots)
+
+
 class TestNextStep:
     def test_a_move(self):
         step = next_step(IJKState(3, 2, 0))

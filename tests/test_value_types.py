@@ -94,7 +94,38 @@ BAD_ARGUMENTS = [
     (UnknottingStep, dict(kind=StepKind.C, before=IJKState(3, 2, 0),
                           after=IJKState(3, 1, 0), changes=2)),
     (UnknottingSequence, dict(start=IJKState(3, 2, 0), steps=())),
+    # non-integers, which no check may coerce
+    (BraidLetter, dict(kind=LetterKind.CLASSICAL, index=1.5, sign=1)),
+    (BraidLetter, dict(kind=LetterKind.CLASSICAL, index=1, sign=1.0)),
+    (GaussDiagram, dict(endpoints=((0, Role.OVER), (0, Role.UNDER)), signs=(1.0,))),
+    (IndexPolynomial, dict(terms=((2.5, 1),))),
+    (IndexPolynomial, dict(terms=(("3", 1),))),
+    (IndexPolynomial, dict(terms=((2, 1.0),))),
+    (IJKState, dict(i=3.0, j=2, k=0)),
+    (UnknottingStep, dict(kind=StepKind.A, before=IJKState(3, 2, 0),
+                          after=IJKState(2, 2, 1), changes=0.0)),
 ]
+
+# Per validated type: a _replace of its sample that stays valid, the value
+# it must equal when built fresh, and a _replace that fails a check.
+REPLACEMENTS = {
+    "BraidLetter": (dict(index=3), lambda: virtual(3), dict(sign=0)),
+    "BraidWord": (dict(strands=4), lambda: parse_braid("v1 -2", 4), dict(strands=2)),
+    "FamilySpec": (dict(params=(5, 3, 1)), lambda: FamilySpec("vt", (5, 3, 1)),
+                   dict(variant="torus")),
+    "GaussDiagram": (
+        dict(signs=(1, -1, 1)),
+        lambda: GaussDiagram(SAMPLES["GaussDiagram"][0]().endpoints, (1, -1, 1)),
+        dict(signs=(0, 1, 1))),
+    "IndexPolynomial": (dict(terms=((3, 1),)), lambda: IndexPolynomial(((3, 1),)),
+                        dict(terms=((0, 0),))),
+    "IJKState": (dict(k=1), lambda: IJKState(3, 2, 1), dict(i=1)),
+    "UnknottingStep": (dict(before=IJKState(4, 2, 0), after=IJKState(3, 2, 1)),
+                       lambda: next_step(IJKState(4, 2, 0)), dict(changes=99)),
+    "UnknottingSequence": (dict(steps=list(unknotting_sequence(3, 2, 0).steps)),
+                           lambda: unknotting_sequence(3, 2, 0),
+                           dict(total_changes=99)),
+}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -158,6 +189,19 @@ def test_bad_arguments_raise_value_error_by_position_and_keyword(cls, kwargs):
         cls(**kwargs)
     with pytest.raises(ValueError):
         cls(*kwargs.values())
+
+
+@pytest.mark.parametrize("name", sorted(REPLACEMENTS))
+def test_replace_and_make_build_through_the_checks(name):
+    value = SAMPLES[name][0]()
+    valid, make_fresh, invalid = REPLACEMENTS[name]
+    replaced, fresh = value._replace(**valid), make_fresh()
+    assert type(replaced) is type(value) and replaced == fresh
+    assert type(value)._make(fresh) == fresh
+    if name == "GaussDiagram":
+        assert replaced.chord_positions() == fresh.chord_positions()
+    with pytest.raises(ValueError):
+        value._replace(**invalid)
 
 
 def test_sequence_totals_are_worked_out_not_passed():
