@@ -14,7 +14,7 @@ import re
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .braid import BraidWord, LetterKind, _Checked, _cycles
+from .braid import _CLASSICAL, BraidWord, _Checked, _cycles
 
 
 class Role(Enum):
@@ -22,7 +22,12 @@ class Role(Enum):
     UNDER = "U"
 
     def flipped(self) -> "Role":
-        return Role.UNDER if self is Role.OVER else Role.OVER
+        return _UNDER if self is _OVER else _OVER
+
+
+# loops over endpoints compare against these names, as braid's loops over
+# letters compare against _CLASSICAL and _VIRTUAL
+_OVER, _UNDER = Role.OVER, Role.UNDER
 
 
 class MultiComponentError(ValueError):
@@ -59,9 +64,13 @@ class GaussDiagram(_Checked, _GaussDiagram):
             raise ValueError("endpoint sequence must list every chord twice")
         over, under = [-1] * n, [-1] * n
         for position, (chord, role) in enumerate(endpoints):
+            if type(chord) is not int:
+                raise ValueError(f"chord ids must be integers, got {chord!r}")
             if not 0 <= chord < n:
                 raise ValueError(f"chord id {chord} out of range for {n} chords")
-            seen = over if role is Role.OVER else under
+            seen = over if role is _OVER else under if role is _UNDER else None
+            if seen is None:
+                raise ValueError(f"chord {chord} has role {role!r}, not a Role")
             if seen[chord] >= 0:
                 raise ValueError(f"chord {chord} repeats role {role.value}")
             seen[chord] = position
@@ -105,7 +114,7 @@ def gauss_from_closure(word: BraidWord) -> GaussDiagram:
     visits: list[list[tuple[int, Role]]] = [[] for _ in range(word.strands)]
     occupant = list(range(word.strands))  # strands, named by entry position
     signs: list[int] = []
-    classical, over, under = LetterKind.CLASSICAL, Role.OVER, Role.UNDER
+    classical, over, under = _CLASSICAL, _OVER, _UNDER
     for letter in word.letters:
         a = letter.index - 1
         top, bottom = occupant[a], occupant[a + 1]
@@ -167,11 +176,12 @@ _GAUSS_TOKEN = re.compile(r"([OU])([0-9]+)([+-])\Z")
 
 def emit_gauss_code(diagram: GaussDiagram) -> str:
     """Endpoint tokens from the basepoint: role letter, 1-based label, sign."""
-    parts = []
-    for chord, role in diagram.endpoints:
-        sign = "+" if diagram.signs[chord] > 0 else "-"
-        parts.append(f"{role.value}{chord + 1}{sign}")
-    return " ".join(parts)
+    # each chord's label and sign once; a dict keyed by Role would hash
+    # through Enum.__hash__, slower than the identity test
+    labels = [f"{chord + 1}{'+' if sign > 0 else '-'}"
+              for chord, sign in enumerate(diagram.signs)]
+    return " ".join([("O" if role is _OVER else "U") + labels[chord]
+                     for chord, role in diagram.endpoints])
 
 
 def parse_gauss_code(text: str) -> GaussDiagram:
@@ -186,7 +196,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         match = _GAUSS_TOKEN.match(token)
         if match is None:
             raise GaussCodeError(f"malformed Gauss-code token {token!r}")
-        role = Role.OVER if match.group(1) == "O" else Role.UNDER
+        role = _OVER if match.group(1) == "O" else _UNDER
         try:
             label = int(match.group(2))
         except ValueError as error:  # more digits than int() converts

@@ -33,7 +33,7 @@ from sys import byteorder
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .braid import _Checked, _OnFirstUse
-from .gauss import GaussDiagram, Role
+from .gauss import _OVER, GaussDiagram
 
 
 class _IndexPolynomial(NamedTuple):
@@ -123,7 +123,7 @@ def _endpoint_weights(diagram: GaussDiagram) -> list[int]:
     """+sign at every over endpoint and -sign at every under endpoint, in
     circle order."""
     signs = diagram.signs
-    return [signs[chord] if role is Role.OVER else -signs[chord]
+    return [signs[chord] if role is _OVER else -signs[chord]
             for chord, role in diagram.endpoints]
 
 

@@ -37,6 +37,8 @@ class StepKind(Enum):
     C = "C"
 
 
+_REDUCE = StepKind.REDUCE
+
 # kind -> (guard, target, cost), each a function of (i, j, k), in the order
 # next_step tries them: Reduce's guard overlaps C's and B's.
 _MOVES = {
@@ -165,7 +167,7 @@ class UnknottingSequence(_UnknottingSequence):
         if 2 * total != crossings:
             raise ValueError(
                 f"change total {total} is not half of {crossings} crossings")
-        ops = sum(1 for step in steps if step.kind is not StepKind.REDUCE)
+        ops = sum(1 for step in steps if step.kind is not _REDUCE)
         return tuple.__new__(cls, (start, steps, total, ops))
 
     def __getnewargs__(self) -> tuple:  # copy and pickle pass only the inputs

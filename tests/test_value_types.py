@@ -104,6 +104,14 @@ BAD_ARGUMENTS = [
     (IJKState, dict(i=3.0, j=2, k=0)),
     (UnknottingStep, dict(kind=StepKind.A, before=IJKState(3, 2, 0),
                           after=IJKState(2, 2, 1), changes=0.0)),
+    (GaussDiagram, dict(endpoints=((0.0, Role.OVER), (0.0, Role.UNDER)), signs=(1,))),
+    (GaussDiagram, dict(endpoints=((True, Role.OVER), (True, Role.UNDER),
+                                   (0, Role.OVER), (0, Role.UNDER)), signs=(1, 1))),
+    (FamilySpec, dict(variant="vt", params=(3.0, 2, 1))),
+    (FamilySpec, dict(variant="ijk", params=(3, True, 1))),
+    # a role must be a Role member, not its letter or anything else
+    (GaussDiagram, dict(endpoints=((0, Role.OVER), (0, "O")), signs=(1,))),
+    (GaussDiagram, dict(endpoints=((0, None), (0, Role.OVER)), signs=(1,))),
 ]
 
 # Per validated type: a _replace of its sample that stays valid, the value
