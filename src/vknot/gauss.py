@@ -14,7 +14,7 @@ import re
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .braid import _CLASSICAL, BraidWord, _Checked, _cycles
+from .braid import BraidWord, _CLASSICAL, _Checked, _cycles
 
 
 class Role(Enum):

@@ -33,7 +33,7 @@ from sys import byteorder
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .braid import _Checked, _OnFirstUse
-from .gauss import _OVER, GaussDiagram
+from .gauss import GaussDiagram, _OVER
 
 
 class _IndexPolynomial(NamedTuple):
