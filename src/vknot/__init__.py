@@ -5,7 +5,6 @@ from .braid import (
     BraidLetter,
     BraidParseError,
     BraidWord,
-    FamilySpec,
     LetterKind,
     Rewrite,
     RewriteError,
@@ -16,6 +15,7 @@ from .braid import (
     make_ijk,
     make_vt,
     parse_braid,
+    parse_family,
     permutation,
     rewrite_moves,
     virtual,

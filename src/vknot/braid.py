@@ -9,9 +9,10 @@ permutation.  All values are immutable and every operation returns a new
 word, so concurrent use needs no locking.
 
 ``BraidLetter`` and ``BraidWord`` are the one place that checks indices and
-strand counts; ``parse_braid`` checks only token syntax.  The vt and ijk
-families and the scan's torus word share one block layout and one builder,
-and ``_cycles`` is the one walk of the closure's components.  Each local
+strand counts; ``parse_braid`` checks only token syntax, and ``parse_family``
+only a family's syntax, arity and variant.  The vt and ijk families and
+the scan's torus word share one block layout and ``_family_word``, and
+``_cycles`` is the one walk of the closure's components.  Each local
 rewrite pattern is one function in ``_LOCAL_MOVES``, which both
 ``rewrite_moves`` (where it matches) and ``apply_rewrite`` (where it does
 not) read.
@@ -66,6 +67,8 @@ class BraidLetter(_Checked, _BraidLetter):
     __slots__ = ()
 
     def __new__(cls, kind: LetterKind, index: int, sign: int = 1) -> BraidLetter:
+        if kind is not _CLASSICAL and kind is not _VIRTUAL:
+            raise ValueError(f"letter kind must be a LetterKind, got {kind!r}")
         if type(index) is not int or index < 1:
             raise ValueError(f"letter index must be an integer >= 1, got {index!r}")
         if type(sign) is not int or sign not in (1, -1):
@@ -172,52 +175,6 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
         raise BraidParseError(str(error)) from None
 
 
-# ASCII digits only, as in _BRAID_TOKEN: int() alone also reads "٧", "1_0",
-# "+7" and " 7 "
-_FAMILY_PARAMS = re.compile(r"-?[0-9]+(,-?[0-9]+)*\Z")
-
-
-class _FamilySpec(NamedTuple):
-    variant: str
-    params: tuple[int, int, int]
-
-
-class FamilySpec(_Checked, _FamilySpec):
-    """A named diagram family plus its three integer parameters.
-
-    ``vt:P,Q,N`` is the standard (P,Q) torus braid with its first N ascending
-    blocks virtualized; ``ijk:I,J,K`` appends the descending tail of length K
-    to a singly-virtualized torus braid.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, variant: str, params: Iterable[int]) -> FamilySpec:
-        # the parameter ranges are make_vt's and make_ijk's to check
-        params = tuple(params)
-        if len(params) != 3:
-            raise ValueError("families take exactly three parameters")
-        if variant not in ("vt", "ijk"):
-            raise ValueError(f"unknown family variant {variant!r}")
-        if not {*map(type, params)} <= {int}:
-            raise ValueError(f"family parameters must be integers, got {params!r}")
-        return tuple.__new__(cls, (variant, params))
-
-    @classmethod
-    def parse(cls, text: str) -> "FamilySpec":
-        variant, sep, rest = text.partition(":")
-        if not sep or _FAMILY_PARAMS.match(rest) is None:
-            raise ValueError(
-                f"family must look like 'vt:P,Q,N' or 'ijk:I,J,K', got {text!r}")
-        params = tuple(int(part) for part in rest.split(","))
-        return cls(variant, params)  # type: ignore[arg-type]
-
-    def build(self) -> BraidWord:
-        if self.variant == "vt":
-            return make_vt(*self.params)
-        return make_ijk(*self.params)
-
-
 def _block_indices(strands: int, blocks: int, tail: int) -> list[int]:
     """Letter indices of the family layout: ``blocks`` ascending blocks
     1, 2, ..., strands-1, then the descending tail tail, tail-1, ..., 1."""
@@ -256,6 +213,8 @@ def make_vt(p: int, q: int, n: int) -> BraidWord:
     every classical sign +1; in each classical block the strand entering at
     position 1 passes over everything it crosses.
     """
+    if not type(p) is type(q) is type(n) is int:
+        raise ValueError(f"vt parameters must be integers, got {(p, q, n)!r}")
     if p < 2 or q < 1 or not 1 <= n <= q:
         raise ValueError(f"invalid vt parameters (p,q,n)=({p},{q},{n}): "
                          "need p >= 2, q >= 1, 1 <= n <= q")
@@ -268,10 +227,37 @@ def make_ijk(i: int, j: int, k: int) -> BraidWord:
 
     The classical crossing count is (i-1)(j-1) + k.
     """
+    if not type(i) is type(j) is type(k) is int:
+        raise ValueError(f"ijk parameters must be integers, got {(i, j, k)!r}")
     if i < 1 or j < 1 or not 0 <= k < i:
         raise ValueError(f"invalid ijk parameters (i,j,k)=({i},{j},{k}): "
                          "need i >= 1, j >= 1, 0 <= k < i")
     return _family_word(i, _block_indices(i, j, k), i - 1)
+
+
+# ASCII digits only, as in _BRAID_TOKEN: int() alone also reads "٧", "1_0",
+# "+7" and " 7 "
+_FAMILY_PARAMS = re.compile(r"-?[0-9]+(,-?[0-9]+)*\Z")
+
+
+def parse_family(text: str) -> BraidWord:
+    """The word of a family spec: ``vt:P,Q,N`` is ``make_vt(P, Q, N)`` and
+    ``ijk:I,J,K`` is ``make_ijk(I, J, K)``.
+
+    Syntax, arity and variant are checked here, in that order; the
+    parameter ranges are make_vt's and make_ijk's to check.
+    """
+    variant, sep, rest = text.partition(":")
+    if not sep or _FAMILY_PARAMS.match(rest) is None:
+        raise ValueError(
+            f"family must look like 'vt:P,Q,N' or 'ijk:I,J,K', got {text!r}")
+    params = [int(part) for part in rest.split(",")]
+    if len(params) != 3:
+        raise ValueError("families take exactly three parameters")
+    families = {"vt": make_vt, "ijk": make_ijk}
+    if variant not in families:
+        raise ValueError(f"unknown family variant {variant!r}")
+    return families[variant](*params)
 
 
 def _occupants(strands: int, indices: Iterable[int],

@@ -14,10 +14,10 @@ import os
 import sys
 from typing import Iterable, Iterator
 
-from .braid import BraidParseError, BraidWord, FamilySpec, parse_braid
+from .braid import BraidParseError, BraidWord, _OnFirstUse, parse_braid, parse_family
 from .gauss import MultiComponentError, emit_gauss_code, gauss_from_closure
 from .invariants import bound_from_p, poly_to_string, u_and_p
-from .search import (_POSITION_TEXT, ScanRecord, ScanSummary, default_table_pairs,
+from .search import (ScanRecord, ScanSummary, default_table_pairs,
                      scan_torus_virtualizations, table_to_csv, table_vt2)
 from .unknotting import (NotAKnotError, unknotting_sequence, verify_row,
                          verify_theorem2)
@@ -92,7 +92,7 @@ def _resolve_word(args: argparse.Namespace) -> BraidWord:
     if args.family is not None:
         if args.strands is not None:
             raise BraidParseError("--strands only applies to --braid")
-        return FamilySpec.parse(args.family).build()
+        return parse_family(args.family)
     return parse_braid(args.braid, args.strands)
 
 
@@ -168,7 +168,8 @@ def _scan_lines(records: Iterable[ScanRecord], nonzero_u: bool) -> Iterator[str]
     Per record what is left is a lookup, a count and the subset's text.
     """
     classes: dict[tuple[int, int, int], list] = {}  # [head, tail, printed, first, count]
-    position_text, join = _POSITION_TEXT.__getitem__, ", ".join
+    # str(position) for every position printed so far: at most (p-1)q
+    position_text, join = _OnFirstUse(str).__getitem__, ", ".join
     for record in records:
         subset, components, u, P = record
         line = classes.get((components, id(u), id(P)))

@@ -90,7 +90,7 @@ class GaussDiagram(_Checked, _GaussDiagram):
         return len(self.signs)
 
     def check_chord(self, chord: int) -> None:
-        if not isinstance(chord, int) or not 0 <= chord < self.n_chords:
+        if type(chord) is not int or not 0 <= chord < self.n_chords:
             raise ValueError(f"invalid chord reference {chord!r}")
 
     def chord_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -70,16 +70,9 @@ class IndexPolynomial(_Checked, _IndexPolynomial):
                        reverse=True)
         return cls(tuple(terms))
 
-    @classmethod
-    def zero(cls) -> "IndexPolynomial":
-        return cls(())
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficients(self) -> dict[int, int]:
-        return dict(self.terms)
 
     def abs_coefficients(self) -> dict[int, int]:
         return {m: abs(b) for m, b in self.terms}
@@ -95,11 +88,6 @@ class IndexPolynomial(_Checked, _IndexPolynomial):
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"exp": m, "coef": b} for m, b in self.terms]}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "IndexPolynomial":
-        return cls.from_coefficients(
-            {term["exp"]: term["coef"] for term in data["terms"]})
 
 
 def poly_to_string(poly: IndexPolynomial) -> str:

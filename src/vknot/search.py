@@ -15,8 +15,7 @@ import json
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .braid import (BraidWord, _block_indices, _family_word, _OnFirstUse, make_vt,
-                    virtual)
+from .braid import BraidWord, _block_indices, _family_word, make_vt, virtual
 from .gauss import MultiComponentError, gauss_from_closure
 from .invariants import IndexPolynomial, _invariants_without, p_invariant
 
@@ -27,12 +26,10 @@ DEFAULT_SCAN_BITS = 16
 # Absolute-coefficient pattern highlighted in scan summaries: +-(t^2 - 2t).
 REPORTED_U_PATTERN = {2: 1, 1: 2}
 
-# str(position) for every subset position printed so far: at most (p-1)q
-_POSITION_TEXT = _OnFirstUse(str)
-
-
 def torus_word(p: int, q: int) -> BraidWord:
     """(s_1 ... s_{p-1})^q on p strands, all crossings positive."""
+    if not type(p) is type(q) is int:
+        raise ValueError(f"torus parameters must be integers, got {(p, q)!r}")
     if p < 2 or q < 1:
         raise ValueError(f"need p >= 2 and q >= 1, got ({p},{q})")
     return _family_word(p, _block_indices(p, q, 0), 0)
@@ -84,17 +81,12 @@ class ScanRecord(NamedTuple):
         }
 
     def json_parts(self) -> tuple[str, str]:
-        """The text of ``to_json_line`` before and after the subset's
-        positions, the same for every record of one (components, u, P)."""
+        """The record's line, ``json.dumps(self.to_json_dict(), sort_keys=True)``
+        plus a newline, split around the subset's positions: the same two
+        parts for every record of one (components, u, P)."""
         text = json.dumps({**self.to_json_dict(), "subset": []}, sort_keys=True)
         head, subset, tail = text.partition('"subset": [')
         return head + subset, tail + "\n"
-
-    def to_json_line(self) -> str:
-        """``json.dumps(self.to_json_dict(), sort_keys=True)`` plus a newline,
-        joined from ``json_parts`` and the positions' cached texts."""
-        head, tail = self.json_parts()
-        return head + ", ".join(map(_POSITION_TEXT.__getitem__, self.subset)) + tail
 
 
 def scan_torus_virtualizations(p: int, q: int,

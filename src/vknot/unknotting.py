@@ -184,10 +184,6 @@ class UnknottingSequence(_UnknottingSequence):
                              f"{sequence[2:]}")
         return sequence
 
-    @property
-    def final(self) -> IJKState:
-        return self.steps[-1].after if self.steps else self.start
-
     def states(self) -> tuple[IJKState, ...]:
         return (self.start,) + tuple(step.after for step in self.steps)
 
@@ -294,23 +290,21 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _state_check(state: IJKState, cache: dict) -> str:
-    """Empty string when the state is a knot with zero u, else a complaint,
-    kept in ``cache`` under the state's text (the state itself keys its
-    first move there, and equals its plain (i, j, k) tuple)."""
+def _state_check(state: IJKState, cache: dict) -> tuple[str, IndexPolynomial | None]:
+    """The state's complaint, empty when it is a knot with zero u, and its
+    P, None for a link; traced once and kept in ``cache`` under the state's
+    text (the state itself keys its first move there, and equals its plain
+    (i, j, k) tuple)."""
     key = str(state)
     if key not in cache:
         try:
-            diagram = gauss_from_closure(state.braid_word())
+            u, p = u_and_p(gauss_from_closure(state.braid_word()))
         except MultiComponentError as error:
-            cache[key] = f"intermediate {state} has {error.components} components"
+            cache[key] = (f"intermediate {state} has {error.components} components",
+                          None)
         else:
-            cache[key] = _u_message(state, u_and_p(diagram)[0])
+            cache[key] = ("" if u.is_zero else f"intermediate {state} has nonzero u", p)
     return cache[key]
-
-
-def _u_message(state: IJKState, u: IndexPolynomial) -> str:
-    return "" if u.is_zero else f"intermediate {state} has nonzero u"
 
 
 def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
@@ -319,7 +313,9 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
     must stay a knot with vanishing u.
 
     ``cache``, when shared across rows, keeps each state's first move (keyed
-    by the state) and its check message (keyed by its text, "(i,j,k)").
+    by the state) and its check message and P (keyed by its text, "(i,j,k)").
+    A link start raises NotAKnotError from the walk, as no move can bring a
+    link to the terminal unknot.
     """
     if cache is None:
         cache = {}
@@ -328,17 +324,15 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
     # so its (i-1)j + k letters have i-1's parity and its crossing count
     # (i-1)(j-1) + k is even; UnknottingSequence would raise on an odd one
     formula = state.crossing_count() // 2
-    problems: list[str] = []
-    u, p = u_and_p(gauss_from_closure(state.braid_word()))
-    lower = bound_from_p(p)
     sequence = UnknottingSequence(state, _walk(state, cache))
+    lower = bound_from_p(_state_check(state, cache)[1])
     upper = sequence.total_changes
+    problems: list[str] = []
     if not lower == upper == formula:
         problems.append(
             f"bounds disagree: lower={lower} upper={upper} formula={formula}")
-    cache[str(state)] = _u_message(state, u)
     for intermediate in sequence.states():
-        message = _state_check(intermediate, cache)
+        message = _state_check(intermediate, cache)[0]
         if message:
             problems.append(message)
             break

@@ -105,7 +105,7 @@ def test_3_singly_virtualized_instances():
 def test_4_positive_classical_braid_knots_have_zero_p():
     with criterion(4, "positive classical braid knots"):
         rng = random.Random(20260810)
-        zero = IndexPolynomial.zero()
+        zero = IndexPolynomial()
         found = 0
         while found < 500:
             strands = rng.randint(2, 6)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from vknot.braid import (
     BraidParseError,
     BraidWord,
-    FamilySpec,
     Rewrite,
     RewriteError,
     RewriteKind,
@@ -23,10 +22,12 @@ from vknot.braid import (
     make_ijk,
     make_vt,
     parse_braid,
+    parse_family,
     permutation,
     rewrite_moves,
     virtual,
 )
+from vknot.search import torus_word
 from vknot.unknotting import knot_parameter_triples
 
 from oracles import oracle_cycle_count, oracle_permutation, oracle_rewrite_moves
@@ -172,8 +173,8 @@ class TestFamilies:
                     assert make_ijk(i, j, k).classical_count() == (i - 1) * (j - 1) + k
 
     def test_family_spec_parse_and_build(self):
-        assert FamilySpec.parse("vt:7,3,1").build() == make_vt(7, 3, 1)
-        assert FamilySpec.parse("ijk:3,2,2").build() == make_ijk(3, 2, 2)
+        assert parse_family("vt:7,3,1") == make_vt(7, 3, 1)
+        assert parse_family("ijk:3,2,2") == make_ijk(3, 2, 2)
 
     @pytest.mark.parametrize("text", [
         "vt:7,3", "vt7,3,1", "torus:1,2,3", "vt:a,b,c",
@@ -182,7 +183,17 @@ class TestFamilies:
     ])
     def test_family_spec_rejects(self, text):
         with pytest.raises(ValueError):
-            FamilySpec.parse(text)
+            parse_family(text)
+
+    @pytest.mark.parametrize("build,params", [
+        (make_vt, (3, 2.0, 1)), (make_vt, (3, True, 1)), (make_vt, (3.0, 2, 1)),
+        (make_ijk, (3.0, 2, 1)), (make_ijk, (3, 2, False)), (make_ijk, (3, True, 1)),
+        (torus_word, (3, 2.0)), (torus_word, (True, 2)), (torus_word, (3, True)),
+    ], ids=lambda value: getattr(value, "__name__", repr(value)))
+    def test_family_words_refuse_non_integer_parameters(self, build, params):
+        # bool is an int subclass and float ranges compare, so neither may pass
+        with pytest.raises(ValueError, match="must be integers"):
+            build(*params)
 
 
 class TestPermutation:

@@ -12,8 +12,10 @@ import sys
 import pytest
 
 from vknot.cli import _scan_lines, main, write_atomic
+from vknot.gauss import MultiComponentError
 from vknot.invariants import IndexPolynomial, _u_and_p
 from vknot.search import ScanRecord, scan_torus_virtualizations, summarize_scan
+from vknot.unknotting import IJKState, NotAKnotError
 
 
 def run(capsys, *argv):
@@ -91,6 +93,18 @@ class TestInvariants:
         assert code == 2 and out == ""
         assert "family must look like" in err
 
+    @pytest.mark.parametrize("family,message", [
+        ("vt7,3,1", "family must look like 'vt:P,Q,N' or 'ijk:I,J,K', got 'vt7,3,1'"),
+        ("vt:7,3", "families take exactly three parameters"),
+        ("torus:1,2,3", "unknown family variant 'torus'"),
+        ("vt:1,1,1", "invalid vt parameters (p,q,n)=(1,1,1): "
+                     "need p >= 2, q >= 1, 1 <= n <= q"),
+    ], ids=["syntax", "arity", "variant", "range"])
+    def test_family_refusals_keep_their_exact_message(self, capsys, family, message):
+        # syntax, arity, variant and range are checked in that order
+        code, out, err = run(capsys, "invariants", "--family", family)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_json_byte_stability(self, capsys):
         _, first, _ = run(capsys, "invariants", "--family", "ijk:5,3,2", "--json")
         _, second, _ = run(capsys, "invariants", "--family", "ijk:5,3,2", "--json")
@@ -119,6 +133,18 @@ class TestUnknotSeq:
     def test_bad_state_exits_2(self, capsys):
         code, _, _ = run(capsys, "unknot-seq", "1", "1", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("error", [
+        MultiComponentError(2), NotAKnotError(IJKState(2, 2, 0), 2),
+    ], ids=["multi-component", "not-a-knot"])
+    def test_a_link_in_the_check_exits_3(self, capsys, monkeypatch, error):
+        # verify_row raises either type for a link; both map to exit 3
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr("vknot.cli.verify_row", refuse)
+        code, out, err = run(capsys, "unknot-seq", "3", "2", "0", "--verify")
+        assert (code, out) == (3, "") and "components" in err
 
     def test_verify_flag(self, capsys):
         code, out, _ = run(capsys, "unknot-seq", "3", "5", "0", "--verify")

@@ -18,6 +18,7 @@ from vknot.gauss import (
     parse_gauss_code,
     remove_chords,
 )
+from vknot.invariants import chord_index
 
 from oracles import (_position_table, oracle_cycle_count, oracle_parse_gauss_code,
                      oracle_strand_walk, oracle_trace, r2_removable_pairs,
@@ -117,6 +118,17 @@ class TestFlipNormalize:
         diagram = gauss_from_closure(make_vt(3, 2, 1))
         with pytest.raises(ValueError):
             flip(diagram, 2)
+
+    @pytest.mark.parametrize("chord", [True, False, 1.0, "1", None])
+    def test_chord_references_must_be_integers(self, chord):
+        # the constructor refuses these as chord ids; the references agree
+        diagram = gauss_from_closure(make_vt(3, 2, 1))
+        for act in (lambda: diagram.check_chord(chord),
+                    lambda: chord_index(diagram, chord),
+                    lambda: flip(diagram, chord),
+                    lambda: remove_chords(diagram, [chord])):
+            with pytest.raises(ValueError):
+                act()
 
     def test_normalize_fixed_point_on_positive(self):
         diagram = gauss_from_closure(make_vt(3, 2, 1))

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vknot.braid import make_vt
+from vknot.cli import _scan_lines
 from vknot.gauss import (GaussDiagram, MultiComponentError, Role, gauss_from_closure,
                          remove_chords)
 from vknot.invariants import (IndexPolynomial, _arc_sums, _endpoint_weights,
@@ -192,8 +193,8 @@ class TestScanRecord:
     @pytest.mark.parametrize("record", [KNOT, LINK], ids=["knot", "link"])
     def test_json_line_is_the_sorted_json_dict(self, record):
         # positions of one to four digits all go through the cached texts
-        assert record.to_json_line() == json.dumps(record.to_json_dict(),
-                                                   sort_keys=True) + "\n"
+        assert next(_scan_lines([record], False)) == json.dumps(
+            record.to_json_dict(), sort_keys=True) + "\n"
 
     @given(st.lists(st.integers(0, 10_000), max_size=6), st.integers(1, 9),
            st.dictionaries(st.integers(1, 40), st.integers(-50, 50), max_size=8),
@@ -208,7 +209,7 @@ class TestScanRecord:
         head, tail = ScanRecord((), components, u, P).json_parts()
         expected = json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
         assert head + ", ".join(map(str, subset)) + tail == expected
-        assert record.to_json_line() == expected
+        assert next(_scan_lines([record], False)) == expected
 
 
 class TestChordDeletion:

@@ -1,5 +1,7 @@
 """Unknotting states, moves, sequences, and the verification sweep."""
 
+from collections import Counter
+
 import pytest
 
 from vknot.braid import component_count, make_ijk
@@ -202,7 +204,7 @@ class TestSequence:
         assert [s.kind for s in sequence.steps] == [StepKind.A, StepKind.C]
         assert sequence.total_changes == 1
         assert sequence.op_count == 2
-        assert sequence.final == IJKState(2, 1, 0)
+        assert sequence.states()[-1] == IJKState(2, 1, 0)
 
     def test_unknot_is_empty(self):
         sequence = unknotting_sequence(2, 1, 0)
@@ -361,3 +363,31 @@ class TestFirstStepCache:
         assert failing == through
         assert all(row.detail == "intermediate (3,2,0) has nonzero u"
                    for row in shared if not row.passed)
+
+
+class TestOneTracePerState:
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        words = []
+        real = unknotting.gauss_from_closure
+        monkeypatch.setattr(unknotting, "gauss_from_closure",
+                            lambda word: words.append(word) or real(word))
+        return words
+
+    @pytest.mark.parametrize("triple", [(2, 1, 0), (3, 2, 0), (3, 5, 0), (7, 9, 4),
+                                        (9, 9, 8)])
+    def test_a_row_traces_each_state_of_its_chain_once(self, traced, triple):
+        verify_row(*triple)
+        states = unknotting_sequence(*triple).states()
+        assert Counter(traced) == Counter(state.braid_word() for state in set(states))
+
+    def test_the_sweep_traces_each_state_once(self, traced):
+        report = verify_theorem2(10)
+        states = {state for row in report.rows
+                  for state in unknotting_sequence(row.i, row.j, row.k).states()}
+        assert Counter(traced) == Counter(state.braid_word() for state in states)
+
+    @pytest.mark.parametrize("triple", [(2, 2, 0), (3, 1, 1), (4, 3, 1)])
+    def test_a_link_row_raises_a_typed_error(self, triple):
+        with pytest.raises((MultiComponentError, NotAKnotError)):
+            verify_row(*triple)

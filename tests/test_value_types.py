@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
-from vknot.braid import (BraidLetter, BraidWord, FamilySpec, LetterKind, Rewrite,
-                         RewriteKind, classical, parse_braid, virtual)
+from vknot.braid import (BraidLetter, BraidWord, LetterKind, Rewrite, RewriteKind,
+                         classical, make_ijk, make_vt, parse_braid, parse_family,
+                         virtual)
 from vknot.gauss import GaussDiagram, Role, gauss_from_closure
 from vknot.invariants import IndexPolynomial
 from vknot.search import ScanSummary, TableRow
@@ -29,9 +30,6 @@ SAMPLES = {
         "BraidWord(strands=3, letters=(BraidLetter(kind=<LetterKind.VIRTUAL: "
         "'virtual'>, index=1, sign=1), BraidLetter(kind=<LetterKind.CLASSICAL: "
         "'classical'>, index=2, sign=-1)))"),
-    "FamilySpec": (
-        lambda: FamilySpec.parse("vt:3,2,1"),
-        "FamilySpec(variant='vt', params=(3, 2, 1))"),
     "Rewrite": (
         lambda: Rewrite(RewriteKind.CLASSICAL_INSERT, 1, 2, -1),
         "Rewrite(kind=<RewriteKind.CLASSICAL_INSERT: 'classical-insert'>, pos=1, "
@@ -73,15 +71,16 @@ SAMPLES = {
 }
 NAMES = sorted(SAMPLES)
 
-# Arguments each validated type refuses, by keyword.
+# Arguments each validated type or family function refuses, by keyword.  A
+# row's id holds its index, so rows are replaced or appended, never removed.
 BAD_ARGUMENTS = [
     (BraidLetter, dict(kind=LetterKind.VIRTUAL, index=1, sign=-1)),
     (BraidLetter, dict(kind=LetterKind.CLASSICAL, index=0, sign=1)),
     (BraidLetter, dict(kind=LetterKind.CLASSICAL, index=1, sign=2)),
     (BraidWord, dict(strands=0, letters=())),
     (BraidWord, dict(strands=2, letters=(classical(2),))),
-    (FamilySpec, dict(variant="vt", params=(3, 2))),
-    (FamilySpec, dict(variant="torus", params=(3, 2, 1))),
+    (parse_family, dict(text="vt:3,2")),
+    (parse_family, dict(text="torus:3,2,1")),
     (GaussDiagram, dict(endpoints=((0, Role.OVER),), signs=(1,))),
     (GaussDiagram, dict(endpoints=((0, Role.OVER), (0, Role.UNDER)), signs=(0,))),
     (IndexPolynomial, dict(terms=((1, 0),))),
@@ -107,11 +106,14 @@ BAD_ARGUMENTS = [
     (GaussDiagram, dict(endpoints=((0.0, Role.OVER), (0.0, Role.UNDER)), signs=(1,))),
     (GaussDiagram, dict(endpoints=((True, Role.OVER), (True, Role.UNDER),
                                    (0, Role.OVER), (0, Role.UNDER)), signs=(1, 1))),
-    (FamilySpec, dict(variant="vt", params=(3.0, 2, 1))),
-    (FamilySpec, dict(variant="ijk", params=(3, True, 1))),
+    (make_vt, dict(p=3.0, q=2, n=1)),
+    (make_ijk, dict(i=3, j=True, k=1)),
     # a role must be a Role member, not its letter or anything else
     (GaussDiagram, dict(endpoints=((0, Role.OVER), (0, "O")), signs=(1,))),
     (GaussDiagram, dict(endpoints=((0, None), (0, Role.OVER)), signs=(1,))),
+    # a kind must be a LetterKind member, not its value or anything else
+    (BraidLetter, dict(kind="classical", index=1, sign=-1)),
+    (BraidLetter, dict(kind=None, index=1, sign=1)),
 ]
 
 # Per validated type: a _replace of its sample that stays valid, the value
@@ -119,8 +121,6 @@ BAD_ARGUMENTS = [
 REPLACEMENTS = {
     "BraidLetter": (dict(index=3), lambda: virtual(3), dict(sign=0)),
     "BraidWord": (dict(strands=4), lambda: parse_braid("v1 -2", 4), dict(strands=2)),
-    "FamilySpec": (dict(params=(5, 3, 1)), lambda: FamilySpec("vt", (5, 3, 1)),
-                   dict(variant="torus")),
     "GaussDiagram": (
         dict(signs=(1, -1, 1)),
         lambda: GaussDiagram(SAMPLES["GaussDiagram"][0]().endpoints, (1, -1, 1)),
