@@ -114,6 +114,8 @@ class BraidWord(_Checked, _BraidWord):
 
     def __new__(cls, strands: int, letters: Iterable[BraidLetter] = ()) -> BraidWord:
         letters = tuple(letters)
+        if type(strands) is not int:
+            raise ValueError(f"strand count must be an integer, got {strands!r}")
         if strands < 1:
             raise ValueError(f"strand count must be >= 1, got {strands}")
         if max(map(attrgetter("index"), letters), default=0) >= strands:

@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .braid import BraidParseError, BraidWord, _OnFirstUse, parse_braid, parse_family
@@ -185,7 +186,24 @@ def _scan_lines(records: Iterable[ScanRecord], nonzero_u: bool) -> Iterator[str]
     yield json.dumps({"summary": summary.to_json_dict()}, sort_keys=True) + "\n"
 
 
+# Lines per write.  With stdout unbuffered (python -u, PYTHONUNBUFFERED)
+# each write is a write(2): a full (5,4) scan made 65 537 of them, one per
+# line, and makes 129 in blocks.  A block of (5,4) lines is about 88 KB,
+# and no more than one block is held at a time.
+_BLOCK_LINES = 512
+
+
+def _blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks, joined in order into blocks of ``_BLOCK_LINES`` each."""
+    chunks = iter(chunks)
+    while block := list(islice(chunks, _BLOCK_LINES)):
+        yield "".join(block)
+
+
 def _emit(path: str | None, chunks: Iterable[str]) -> None:
+    """Write ``chunks``, each a whole number of lines, to ``path`` or stdout,
+    one write per block of ``_BLOCK_LINES`` chunks."""
+    chunks = _blocks(chunks)
     if not path:
         sys.stdout.writelines(chunks)
     elif os.path.exists(path) and not os.path.isfile(path):

@@ -64,6 +64,12 @@ class TestParse:
         with pytest.raises(BraidParseError):
             parse_braid("1", strands=0)
 
+    @pytest.mark.parametrize("strands", [3.0, True, "3"])
+    def test_non_integer_strand_count(self, strands):
+        with pytest.raises(BraidParseError,
+                           match=f"strand count must be an integer, got {strands!r}"):
+            parse_braid("1", strands)
+
     @pytest.mark.parametrize("text", [
         "²",              # superscript digit: int() refuses it
         "١ 1",            # Arabic-Indic digit: int() reads it as 1

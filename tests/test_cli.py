@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from vknot.cli import _scan_lines, main, write_atomic
+from vknot.cli import _BLOCK_LINES, _emit, _scan_lines, main, write_atomic
 from vknot.gauss import MultiComponentError
 from vknot.invariants import IndexPolynomial, _u_and_p
 from vknot.search import ScanRecord, scan_torus_virtualizations, summarize_scan
@@ -22,6 +22,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class WriteLog(io.StringIO):
+    """A stdout that counts its write calls and the lines written so far,
+    and notes whether every write ended a line."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = self.lines = 0
+        self.whole_lines = True
+
+    def write(self, text):
+        self.writes += 1
+        self.lines += text.count("\n")
+        self.whole_lines = self.whole_lines and text.endswith("\n")
+        return super().write(text)
 
 
 class TestInvariants:
@@ -220,6 +236,21 @@ class TestTable:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+class TestEmit:
+    CHUNKS = ("",) * (2 * _BLOCK_LINES + 3) + ("a\n",) + ("",) * 3 + ("b\n", "")
+
+    def test_empty_chunks_do_not_end_stdout(self, monkeypatch):
+        out = WriteLog()
+        monkeypatch.setattr(sys, "stdout", out)
+        _emit(None, iter(self.CHUNKS))
+        assert out.getvalue() == "a\nb\n"
+
+    def test_empty_chunks_do_not_end_a_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        _emit(str(target), iter(self.CHUNKS))
+        assert target.read_bytes() == b"a\nb\n"
+
+
 class TestAtomicWrite:
     def test_failure_midway_keeps_target_and_leaves_no_temp(self, tmp_path):
         target = tmp_path / "out.jsonl"
@@ -281,21 +312,49 @@ class TestScan:
         lines = target.read_text().splitlines()
         assert len(lines) == 5
 
-    def test_each_line_is_written_before_the_next_record(self, monkeypatch):
-        out = io.StringIO()
-        written_before = []
+    def test_lines_are_written_in_blocks_as_records_arrive(self, monkeypatch):
+        # memory stays bounded: no more than one block of lines is held back
+        out, lines_before = WriteLog(), []
 
         def records(*args):
             for record in scan_torus_virtualizations(*args):
-                written_before.append(out.getvalue())
+                lines_before.append(out.lines)
                 yield record
 
         monkeypatch.setattr("vknot.cli.scan_torus_virtualizations", records)
         monkeypatch.setattr(sys, "stdout", out)
-        assert main(["scan", "--p", "3", "--q", "2", "--limit", "3"]) == 0
-        lines = out.getvalue().splitlines(keepends=True)
-        assert len(lines) == 4
-        assert written_before == ["", lines[0], lines[0] + lines[1]]
+        limit = 3 * _BLOCK_LINES + 5
+        assert main(["scan", "--p", "5", "--q", "3", "--limit", str(limit)]) == 0
+        assert len(lines_before) == limit and out.lines == limit + 1
+        assert all(count >= r - _BLOCK_LINES
+                   for r, count in enumerate(lines_before))
+        assert out.whole_lines
+
+    def test_full_scan_writes_whole_blocks(self, monkeypatch):
+        out = WriteLog()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["scan", "--p", "5", "--q", "4"]) == 0
+        assert out.lines == 2**16 + 1
+        assert out.writes <= math.ceil((2**16 + 1) / _BLOCK_LINES) + 1
+        assert out.whole_lines
+
+    @pytest.mark.parametrize("p,q,limit", [
+        (5, 4, 0), (5, 4, 1), (5, 4, _BLOCK_LINES - 1), (5, 4, _BLOCK_LINES),
+        (5, 4, _BLOCK_LINES + 1), (4, 6, 20000)])
+    def test_stdout_is_the_joined_lines(self, monkeypatch, p, q, limit):
+        out = WriteLog()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["scan", "--p", str(p), "--q", str(q),
+                     "--limit", str(limit)]) == 0
+        expected = "".join(_scan_lines(scan_torus_virtualizations(p, q, limit), False))
+        assert out.getvalue() == expected and out.whole_lines
+
+    def test_jsonl_file_equals_stdout(self, capsys, tmp_path):
+        target = tmp_path / "records.jsonl"
+        argv = ("scan", "--p", "5", "--q", "4", "--limit", str(2 * _BLOCK_LINES + 1))
+        _, out, _ = run(capsys, *argv)
+        code, _, _ = run(capsys, *argv, "--jsonl", str(target))
+        assert code == 0 and target.read_bytes() == out.encode()
 
     def test_failed_jsonl_scan_keeps_target_and_leaves_no_temp(
             self, capsys, monkeypatch, tmp_path):

@@ -114,6 +114,9 @@ BAD_ARGUMENTS = [
     # a kind must be a LetterKind member, not its value or anything else
     (BraidLetter, dict(kind="classical", index=1, sign=-1)),
     (BraidLetter, dict(kind=None, index=1, sign=1)),
+    # a strand count must be an int, bool excluded
+    (BraidWord, dict(strands=3.0, letters=(classical(1),))),
+    (BraidWord, dict(strands=True, letters=())),
 ]
 
 # Per validated type: a _replace of its sample that stays valid, the value
