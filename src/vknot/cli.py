@@ -15,10 +15,10 @@ import sys
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .braid import BraidParseError, BraidWord, _OnFirstUse, parse_braid, parse_family
+from .braid import BraidParseError, BraidWord, parse_braid, parse_family
 from .gauss import MultiComponentError, emit_gauss_code, gauss_from_closure
 from .invariants import bound_from_p, poly_to_string, u_and_p
-from .search import (ScanRecord, ScanSummary, default_table_pairs,
+from .search import (ScanRecord, ScanSummary, _scan_subsets, default_table_pairs,
                      scan_torus_virtualizations, table_to_csv, table_vt2)
 from .unknotting import (NotAKnotError, unknotting_sequence, verify_row,
                          verify_theorem2)
@@ -154,32 +154,36 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    # refuses what the scan refuses, before an output file is opened
+    texts = _scan_subsets(args.p, args.q, args.limit, str)
     records = scan_torus_virtualizations(args.p, args.q, args.limit)
-    _emit(args.jsonl, _scan_lines(records, args.nonzero_u))
+    _emit(args.jsonl, _scan_lines(records, texts, args.nonzero_u))
     return 0
 
 
-def _scan_lines(records: Iterable[ScanRecord], nonzero_u: bool) -> Iterator[str]:
+def _scan_lines(records: Iterable[ScanRecord], texts: Iterable[tuple[str, ...]],
+                nonzero_u: bool) -> Iterator[str]:
     """Each record's JSON line as the record arrives, then the summary line.
 
-    Records of one (components, u, P) share its line text, its filter
-    verdict and its share of the summary, so those are worked out once per
-    class, keyed by the objects' ids; the dict keeps the class's first
-    record, and with it those objects, so no id is reused while it lives.
-    Per record what is left is a lookup, a count and the subset's text.
+    ``texts`` holds each record's subset as position texts, in record order;
+    the scan draws both from ``search._scan_subsets``, so they pair up.  Records
+    of one (components, u, P) share its line text, its filter verdict and
+    its share of the summary, so those are worked out once per class, keyed
+    by the objects' ids; the dict keeps the class's first record, and with
+    it those objects, so no id is reused while it lives.  Per record what
+    is left is a lookup, a count and one join of the subset's texts.
     """
     classes: dict[tuple[int, int, int], list] = {}  # [head, tail, printed, first, count]
-    # str(position) for every position printed so far: at most (p-1)q
-    position_text, join = _OnFirstUse(str).__getitem__, ", ".join
-    for record in records:
-        subset, components, u, P = record
+    join = ", ".join
+    for record, text in zip(records, texts, strict=True):
+        _, components, u, P = record
         line = classes.get((components, id(u), id(P)))
         if line is None:
             line = classes[components, id(u), id(P)] = [
                 *record.json_parts(), not nonzero_u or record.has_nonzero_u, record, 0]
         line[4] += 1
         if line[2]:
-            yield line[0] + join(map(position_text, subset)) + line[1]
+            yield f"{line[0]}{join(text)}{line[1]}"  # one copy, no partial sum
     summary = ScanSummary()
     for *_, first, count in classes.values():
         summary.add(first, count)

@@ -80,9 +80,6 @@ class IndexPolynomial(_Checked, _IndexPolynomial):
     def abs_coefficient_sum(self) -> int:
         return sum(abs(b) for _, b in self.terms)
 
-    def __neg__(self) -> "IndexPolynomial":
-        return IndexPolynomial(tuple((m, -b) for m, b in self.terms))
-
     def __str__(self) -> str:
         return poly_to_string(self)
 

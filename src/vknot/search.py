@@ -10,8 +10,8 @@ doubly-virtualized family.
 
 from __future__ import annotations
 
-import itertools
 import json
+from itertools import chain, combinations, islice, repeat
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
@@ -104,27 +104,34 @@ def scan_torus_virtualizations(p: int, q: int,
     the subset's packed linking rows, without building the smaller diagram,
     and every subset with the same sorted indices shares one (u, P).
     """
+    subsets = _scan_subsets(p, q, limit)
+    try:
+        base, components = gauss_from_closure(torus_word(p, q)), 1
+    except MultiComponentError as error:
+        base, components = None, error.components
+    pairs = (((subset, (None, None)) for subset in subsets) if base is None
+             else _invariants_without(base, subsets))
+    new = tuple.__new__
+    for subset, u_and_p in pairs:
+        yield new(ScanRecord, (subset, components) + u_and_p)
+
+
+def _scan_subsets(p: int, q: int, limit: int | None, label: type = int) -> Iterator[tuple]:
+    """The first ``limit`` subsets (all for None) of the (p-1)q crossing
+    positions, by size, then lexicographically, each position given as
+    ``label(position)``; raises ``ValueError`` where the scan refuses.  The
+    scan's chord ids and the CLI's position texts both come from here, so
+    they agree in order."""
     if p < 2 or q < 2:
         raise ValueError(f"need p >= 2 and q >= 2, got ({p},{q})")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     total = (p - 1) * q
     if limit is None and total > DEFAULT_SCAN_BITS:
-        raise ValueError(
-            f"{total} crossing positions means 2^{total} subsets; "
-            "pass an explicit limit to opt in")
-    try:
-        base, components = gauss_from_closure(torus_word(p, q)), 1
-    except MultiComponentError as error:
-        base, components = None, error.components
-    subsets = itertools.islice(
-        (subset for size in range(total + 1)
-         for subset in itertools.combinations(range(total), size)), limit)
-    pairs = (((subset, (None, None)) for subset in subsets) if base is None
-             else _invariants_without(base, subsets))
-    new = tuple.__new__
-    for subset, u_and_p in pairs:
-        yield new(ScanRecord, (subset, components) + u_and_p)
+        raise ValueError(f"{total} crossing positions means 2^{total} subsets; "
+                         "pass an explicit limit to opt in")
+    return islice(chain.from_iterable(map(
+        combinations, repeat(tuple(map(label, range(total)))), range(total + 1))), limit)
 
 
 class ScanSummary:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import io
+import itertools
 import json
 import math
 import os
@@ -14,8 +15,16 @@ import pytest
 from vknot.cli import _BLOCK_LINES, _emit, _scan_lines, main, write_atomic
 from vknot.gauss import MultiComponentError
 from vknot.invariants import IndexPolynomial, _u_and_p
-from vknot.search import ScanRecord, scan_torus_virtualizations, summarize_scan
+from vknot.search import (ScanRecord, _scan_subsets, scan_torus_virtualizations,
+                          summarize_scan)
 from vknot.unknotting import IJKState, NotAKnotError
+
+
+def _with_texts(records):
+    """``records`` and, in step with them, each one's subset as position
+    texts: the two streams ``_scan_lines`` reads."""
+    records, copy = itertools.tee(records)
+    return records, (tuple(map(str, record.subset)) for record in copy)
 
 
 def run(capsys, *argv):
@@ -346,7 +355,8 @@ class TestScan:
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["scan", "--p", str(p), "--q", str(q),
                      "--limit", str(limit)]) == 0
-        expected = "".join(_scan_lines(scan_torus_virtualizations(p, q, limit), False))
+        expected = "".join(_scan_lines(
+            *_with_texts(scan_torus_virtualizations(p, q, limit)), False))
         assert out.getvalue() == expected and out.whole_lines
 
     def test_jsonl_file_equals_stdout(self, capsys, tmp_path):
@@ -400,7 +410,7 @@ class TestScan:
         expected = [json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
                     for record in records
                     if not nonzero_u or record.has_nonzero_u]
-        lines = list(_scan_lines(records, nonzero_u))
+        lines = list(_scan_lines(*_with_texts(records), nonzero_u))
         assert lines[:-1] == expected
         assert "summary" in json.loads(lines[-1])
 
@@ -416,6 +426,17 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--p", "5", "--q", "4",
                              "--limit", "-3", "--jsonl", str(target))
         assert code == 2 and out == "" and "limit" in err
+        assert target.read_bytes() == b"old line\n"
+        assert os.listdir(tmp_path) == ["records.jsonl"]
+
+    def test_oversized_scan_leaves_jsonl_target_untouched(self, capsys, tmp_path):
+        target = tmp_path / "records.jsonl"
+        target.write_bytes(b"old line\n")
+        code, out, err = run(capsys, "scan", "--p", "5", "--q", "5",
+                             "--jsonl", str(target))
+        assert code == 2 and out == ""
+        assert err == ("error: 20 crossing positions means 2^20 subsets; "
+                       "pass an explicit limit to opt in\n")
         assert target.read_bytes() == b"old line\n"
         assert os.listdir(tmp_path) == ["records.jsonl"]
 
@@ -465,7 +486,7 @@ class TestScanClasses:
 
     @pytest.mark.parametrize("nonzero_u", [False, True])
     def test_hand_built_records_read_as_encoded_alone(self, nonzero_u):
-        assert list(_scan_lines(iter(self.RECORDS), nonzero_u)) == _encoded(
+        assert list(_scan_lines(*_with_texts(self.RECORDS), nonzero_u)) == _encoded(
             self.RECORDS, nonzero_u)
 
     @pytest.mark.parametrize("start", range(len(RECORDS)))
@@ -473,19 +494,24 @@ class TestScanClasses:
         # every rotation moves which class appears first and which record
         # is the first with nonzero u
         records = self.RECORDS[start:] + self.RECORDS[:start]
-        *_, summary = _scan_lines(iter(records), True)
+        *_, summary = _scan_lines(*_with_texts(records), True)
         assert summary == _encoded(records)[-1]
 
-    @pytest.mark.parametrize("p,q", [(2, 2), (4, 2), (6, 3), (3, 4), (4, 3),
-                                     (5, 3), (3, 5)])
-    @pytest.mark.parametrize("cut", ["none", "zero", "one", "past_size_1",
-                                     "past_size_2"])
-    def test_cli_output_at_size_boundaries(self, capsys, p, q, cut):
+    PAIRS = [(2, 2), (4, 2), (6, 3), (3, 4), (4, 3), (5, 3), (3, 5)]
+    CUTS = ["none", "zero", "one", "past_size_1", "past_size_2"]
+
+    @staticmethod
+    def limit_at(p, q, cut):
         # links (gcd > 1) and knots, cut after the empty subset, after all
         # subsets of size <= 1 and after all of size <= 2
         n = (p - 1) * q
-        limit = {"none": None, "zero": 0, "one": 1, "past_size_1": n + 1,
-                 "past_size_2": 1 + n + math.comb(n, 2)}[cut]
+        return {"none": None, "zero": 0, "one": 1, "past_size_1": n + 1,
+                "past_size_2": 1 + n + math.comb(n, 2)}[cut]
+
+    @pytest.mark.parametrize("p,q", PAIRS)
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_cli_output_at_size_boundaries(self, capsys, p, q, cut):
+        limit = self.limit_at(p, q, cut)
         argv = ["scan", "--p", str(p), "--q", str(q)]
         if limit is not None:
             argv += ["--limit", str(limit)]
@@ -493,6 +519,22 @@ class TestScanClasses:
         assert code == 0
         records = list(scan_torus_virtualizations(p, q, limit))
         assert out.splitlines(keepends=True) == _encoded(records)
+
+    @pytest.mark.parametrize("p,q", PAIRS)
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_texts_and_records_follow_one_subset_order(self, p, q, cut):
+        # the CLI pairs each record with a text subset by position alone, so
+        # both streams must list the same subsets: by size, then
+        # lexicographically, as a sort of all 2^n bit masks lists them
+        limit, n = self.limit_at(p, q, cut), (p - 1) * q
+        ids = list(_scan_subsets(p, q, limit))
+        texts = list(_scan_subsets(p, q, limit, str))
+        assert texts == [tuple(map(str, subset)) for subset in ids]
+        assert [record.subset for record in scan_torus_virtualizations(p, q, limit)] == ids
+        masks = sorted(range(1 << n), key=lambda mask: (
+            mask.bit_count(), [position for position in range(n) if mask >> position & 1]))
+        assert ids == [tuple(position for position in range(n) if mask >> position & 1)
+                       for mask in masks[:limit]]
 
     def test_one_class_entry_per_memo_key(self, monkeypatch):
         # a class is encoded when it is first seen, so the encodings count
@@ -508,7 +550,7 @@ class TestScanClasses:
         monkeypatch.setattr("vknot.invariants._u_and_p", counted("decodes", _u_and_p))
         monkeypatch.setattr(ScanRecord, "json_parts",
                             counted("encodings", ScanRecord.json_parts))
-        *_, summary = _scan_lines(scan_torus_virtualizations(5, 4), False)
+        *_, summary = _scan_lines(*_with_texts(scan_torus_virtualizations(5, 4)), False)
         assert json.loads(summary)["summary"]["subsets"] == 1 << 16
         assert calls["encodings"] <= calls["decodes"] <= 481
 

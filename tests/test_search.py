@@ -193,7 +193,8 @@ class TestScanRecord:
     @pytest.mark.parametrize("record", [KNOT, LINK], ids=["knot", "link"])
     def test_json_line_is_the_sorted_json_dict(self, record):
         # positions of one to four digits all go through the cached texts
-        assert next(_scan_lines([record], False)) == json.dumps(
+        assert next(_scan_lines([record], [tuple(map(str, record.subset))],
+                                False)) == json.dumps(
             record.to_json_dict(), sort_keys=True) + "\n"
 
     @given(st.lists(st.integers(0, 10_000), max_size=6), st.integers(1, 9),
@@ -209,7 +210,7 @@ class TestScanRecord:
         head, tail = ScanRecord((), components, u, P).json_parts()
         expected = json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
         assert head + ", ".join(map(str, subset)) + tail == expected
-        assert next(_scan_lines([record], False)) == expected
+        assert next(_scan_lines([record], [tuple(map(str, subset))], False)) == expected
 
 
 class TestChordDeletion:
