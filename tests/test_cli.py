@@ -530,7 +530,8 @@ class TestScanClasses:
         ids = list(_scan_subsets(p, q, limit))
         texts = list(_scan_subsets(p, q, limit, str))
         assert texts == [tuple(map(str, subset)) for subset in ids]
-        assert [record.subset for record in scan_torus_virtualizations(p, q, limit)] == ids
+        records = scan_torus_virtualizations(p, q, limit)
+        assert [record.subset for record in records] == ids
         masks = sorted(range(1 << n), key=lambda mask: (
             mask.bit_count(), [position for position in range(n) if mask >> position & 1]))
         assert ids == [tuple(position for position in range(n) if mask >> position & 1)

@@ -192,9 +192,9 @@ class TestScanRecord:
 
     @pytest.mark.parametrize("record", [KNOT, LINK], ids=["knot", "link"])
     def test_json_line_is_the_sorted_json_dict(self, record):
-        # positions of one to four digits all go through the cached texts
-        assert next(_scan_lines([record], [tuple(map(str, record.subset))],
-                                False)) == json.dumps(
+        # positions of one to four digits, joined from their texts
+        texts = [tuple(map(str, record.subset))]
+        assert next(_scan_lines([record], texts, False)) == json.dumps(
             record.to_json_dict(), sort_keys=True) + "\n"
 
     @given(st.lists(st.integers(0, 10_000), max_size=6), st.integers(1, 9),
