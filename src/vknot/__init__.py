@@ -6,10 +6,6 @@ from .braid import (
     BraidParseError,
     BraidWord,
     LetterKind,
-    Rewrite,
-    RewriteError,
-    RewriteKind,
-    apply_rewrite,
     classical,
     component_count,
     make_ijk,
@@ -17,7 +13,6 @@ from .braid import (
     parse_braid,
     parse_family,
     permutation,
-    rewrite_moves,
     virtual,
 )
 from .gauss import (

@@ -1,5 +1,5 @@
-"""Virtual braid words: parsing, family constructors, closure combinatorics,
-and equivalence-preserving rewrites.
+"""Virtual braid words: parsing, family constructors and closure
+combinatorics.
 
 A word lives on a fixed strand count and is read left to right.  Classical
 letters are signed braid generators; virtual letters are unsigned strand
@@ -12,10 +12,7 @@ word, so concurrent use needs no locking.
 strand counts; ``parse_braid`` checks only token syntax, and ``parse_family``
 only a family's syntax, arity and variant.  The vt and ijk families and
 the scan's torus word share one block layout and ``_family_word``, and
-``_cycles`` is the one walk of the closure's components.  Each local
-rewrite pattern is one function in ``_LOCAL_MOVES``, which both
-``rewrite_moves`` (where it matches) and ``apply_rewrite`` (where it does
-not) read.
+``_cycles`` is the one walk of the closure's components.
 """
 
 from __future__ import annotations
@@ -38,10 +35,6 @@ _CLASSICAL, _VIRTUAL = LetterKind.CLASSICAL, LetterKind.VIRTUAL
 
 class BraidParseError(ValueError):
     """Malformed braid text, out-of-range index, or bad strand count."""
-
-
-class RewriteError(ValueError):
-    """A rewrite that does not apply at its stated location."""
 
 
 class _Checked:
@@ -138,14 +131,6 @@ class BraidWord(_Checked, _BraidWord):
     def emit(self) -> str:
         """Canonical text form: single-space-separated tokens."""
         return " ".join(letter.token() for letter in self.letters)
-
-    def replace(self, start: int, stop: int,
-                replacement: Iterable[BraidLetter]) -> "BraidWord":
-        """New word with ``letters[start:stop]`` swapped for ``replacement``."""
-        return BraidWord(
-            self.strands,
-            self.letters[:start] + tuple(replacement) + self.letters[stop:],
-        )
 
 
 _BRAID_TOKEN = re.compile(r"(v|-)?([0-9]+)\Z")
@@ -316,158 +301,3 @@ def component_count(word: BraidWord) -> int:
     """Number of components of the word's closure (cycles of the permutation)."""
     return len(_cycles(_occupants(word.strands,
                                   (letter.index for letter in word.letters))))
-
-
-class RewriteKind(Enum):
-    FAR_COMMUTE = "far-commute"
-    BRAID_RELATION = "braid-relation"
-    VIRTUAL_RELATION = "virtual-relation"
-    MIXED_RELATION = "mixed-relation"
-    VIRTUAL_CANCEL = "virtual-cancel"
-    CLASSICAL_CANCEL = "classical-cancel"
-    VIRTUAL_INSERT = "virtual-insert"
-    CLASSICAL_INSERT = "classical-insert"
-    CONJUGATE = "conjugate"
-
-
-_Letters = tuple[BraidLetter, ...]
-
-
-class Rewrite(NamedTuple):
-    """One closure-preserving move, located by word position.
-
-    ``index`` is set only for insertions and ``sign`` only for classical
-    insertions; conjugation always has ``pos`` 0.  ``apply_rewrite``
-    refuses any other value of those fields, so each move has one value.
-    """
-
-    kind: RewriteKind
-    pos: int = 0
-    index: int = 0
-    sign: int = 1
-
-
-def _far_commute(a: BraidLetter, b: BraidLetter) -> _Letters | None:
-    # x_k y_l  <->  y_l x_k  for |k - l| >= 2
-    return (b, a) if abs(a.index - b.index) >= 2 else None
-
-
-def _virtual_cancel(a: BraidLetter, b: BraidLetter) -> _Letters | None:
-    # v_k v_k  ->  empty
-    return () if a.is_virtual and b.is_virtual and a.index == b.index else None
-
-
-def _classical_cancel(a: BraidLetter, b: BraidLetter) -> _Letters | None:
-    # s_k^e s_k^-e  ->  empty
-    ok = (a.is_classical and b.is_classical and a.index == b.index
-          and a.sign == -b.sign)
-    return () if ok else None
-
-
-def _braid_relation(a: BraidLetter, b: BraidLetter, c: BraidLetter) -> _Letters | None:
-    # s_k^e s_{k±1}^e s_k^e  <->  s_{k±1}^e s_k^e s_{k±1}^e
-    if (a.is_classical and b.is_classical and c.is_classical
-            and a.index == c.index and abs(a.index - b.index) == 1
-            and a.sign == b.sign == c.sign):
-        return (classical(b.index, a.sign), classical(a.index, a.sign),
-                classical(b.index, a.sign))
-    return None
-
-
-def _virtual_relation(a: BraidLetter, b: BraidLetter, c: BraidLetter) -> _Letters | None:
-    # v_k v_{k±1} v_k  <->  v_{k±1} v_k v_{k±1}
-    if (a.is_virtual and b.is_virtual and c.is_virtual
-            and a.index == c.index and abs(a.index - b.index) == 1):
-        return (virtual(b.index), virtual(a.index), virtual(b.index))
-    return None
-
-
-def _mixed_pattern(a: BraidLetter, b: BraidLetter, c: BraidLetter) -> _Letters | None:
-    # v_k v_{k+1} s_k^e  <->  s_{k+1}^e v_k v_{k+1}
-    if (a.is_virtual and b.is_virtual and c.is_classical
-            and b.index == a.index + 1 and c.index == a.index):
-        return (classical(a.index + 1, c.sign), virtual(a.index), virtual(a.index + 1))
-    if (a.is_classical and b.is_virtual and c.is_virtual
-            and a.index == b.index + 1 and c.index == b.index + 1):
-        return (virtual(b.index), virtual(b.index + 1), classical(b.index, a.sign))
-    return None
-
-
-# Each local rewrite: its window width and the function that returns the
-# window's replacement, or None where the pattern is absent.  Listing order
-# within a window follows this table.
-_LOCAL_MOVES = {
-    RewriteKind.FAR_COMMUTE: (2, _far_commute),
-    RewriteKind.VIRTUAL_CANCEL: (2, _virtual_cancel),
-    RewriteKind.CLASSICAL_CANCEL: (2, _classical_cancel),
-    RewriteKind.BRAID_RELATION: (3, _braid_relation),
-    RewriteKind.VIRTUAL_RELATION: (3, _virtual_relation),
-    RewriteKind.MIXED_RELATION: (3, _mixed_pattern),
-}
-
-
-def rewrite_moves(word: BraidWord, include_insertions: bool = True) -> tuple[Rewrite, ...]:
-    """All rewrites applicable to ``word``, in a fixed deterministic order:
-    2-letter moves by position, 3-letter moves by position, conjugation,
-    then insertions.
-
-    Pair insertions apply at every position, so they dominate the listing;
-    pass ``include_insertions=False`` for only the length-preserving and
-    length-reducing moves.
-    """
-    letters = word.letters
-    n = len(letters)
-    moves: list[Rewrite] = []
-    for width in (2, 3):
-        for pos in range(n - width + 1):
-            window = letters[pos:pos + width]
-            moves.extend(Rewrite(kind, pos)
-                         for kind, (size, replace) in _LOCAL_MOVES.items()
-                         if size == width and replace(*window) is not None)
-    if n >= 1:
-        moves.append(Rewrite(RewriteKind.CONJUGATE))
-    if include_insertions:
-        for pos in range(n + 1):
-            for index in range(1, word.strands):
-                moves.append(Rewrite(RewriteKind.VIRTUAL_INSERT, pos, index))
-                moves.append(Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, 1))
-                moves.append(Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, -1))
-    return tuple(moves)
-
-
-def apply_rewrite(word: BraidWord, move: Rewrite) -> BraidWord:
-    """Apply one rewrite; raises RewriteError when it does not fit."""
-    letters = word.letters
-    n = len(letters)
-    kind, pos = move.kind, move.pos
-    # one Rewrite value per move: fields the kind does not use keep their defaults
-    if move.sign != 1 and kind is not RewriteKind.CLASSICAL_INSERT:
-        raise RewriteError(f"{kind.value} takes no sign, got {move.sign}")
-    if move.index != 0 and kind not in (RewriteKind.VIRTUAL_INSERT,
-                                        RewriteKind.CLASSICAL_INSERT):
-        raise RewriteError(f"{kind.value} takes no index, got {move.index}")
-    if kind in _LOCAL_MOVES:
-        width, replace = _LOCAL_MOVES[kind]
-        if not 0 <= pos <= n - width:
-            raise RewriteError(f"{kind.value} needs {width} letters at position {pos}")
-        replacement = replace(*letters[pos:pos + width])
-        if replacement is None:
-            raise RewriteError(f"{kind.value} pattern not present at position {pos}")
-        return word.replace(pos, pos + width, replacement)
-    if kind is RewriteKind.VIRTUAL_INSERT:
-        if not 0 <= pos <= n or not 1 <= move.index < word.strands:
-            raise RewriteError("virtual insertion out of range")
-        return word.replace(pos, pos, (virtual(move.index), virtual(move.index)))
-    if kind is RewriteKind.CLASSICAL_INSERT:
-        if (not 0 <= pos <= n or not 1 <= move.index < word.strands
-                or move.sign not in (1, -1)):
-            raise RewriteError("classical insertion out of range")
-        return word.replace(pos, pos, (classical(move.index, move.sign),
-                                       classical(move.index, -move.sign)))
-    if kind is RewriteKind.CONJUGATE:
-        if n == 0:
-            raise RewriteError("cannot conjugate the empty word")
-        if pos != 0:
-            raise RewriteError(f"conjugation is listed at position 0, got {pos}")
-        return BraidWord(word.strands, letters[1:] + letters[:1])
-    raise RewriteError(f"unknown rewrite kind {kind!r}")

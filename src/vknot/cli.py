@@ -167,19 +167,17 @@ def _scan_lines(records: Iterable[ScanRecord], texts: Iterable[tuple[str, ...]],
 
     ``texts`` holds each record's subset as position texts, in record order;
     the scan draws both from ``search._scan_subsets``, so they pair up.  Records
-    of one (components, u, P) share its line text, its filter verdict and
-    its share of the summary, so those are worked out once per class, keyed
-    by the objects' ids; the dict keeps the class's first record, and with
-    it those objects, so no id is reused while it lives.  Per record what
-    is left is a lookup, a count and one join of the subset's texts.
+    of one (components, u, P) value share its line text, its filter verdict
+    and its share of the summary, so those are worked out once per class,
+    keyed by ``record[1:]``.  Per record what is left is a lookup, a count
+    and one join of the subset's texts.
     """
-    classes: dict[tuple[int, int, int], list] = {}  # [head, tail, printed, first, count]
+    classes: dict[tuple, list] = {}  # [head, tail, printed, first, count]
     join = ", ".join
     for record, text in zip(records, texts, strict=True):
-        _, components, u, P = record
-        line = classes.get((components, id(u), id(P)))
+        line = classes.get(key := record[1:])
         if line is None:
-            line = classes[components, id(u), id(P)] = [
+            line = classes[key] = [
                 *record.json_parts(), not nonzero_u or record.has_nonzero_u, record, 0]
         line[4] += 1
         if line[2]:

@@ -122,6 +122,10 @@ def _scan_subsets(p: int, q: int, limit: int | None, label: type = int) -> Itera
     ``label(position)``; raises ``ValueError`` where the scan refuses.  The
     scan's chord ids and the CLI's position texts both come from here, so
     they agree in order."""
+    if not type(p) is type(q) is int:
+        raise ValueError(f"p and q must be integers, got {(p, q)!r}")
+    if limit is not None and type(limit) is not int:
+        raise ValueError(f"limit must be an integer or None, got {limit!r}")
     if p < 2 or q < 2:
         raise ValueError(f"need p >= 2 and q >= 2, got ({p},{q})")
     if limit is not None and limit < 0:
@@ -189,6 +193,8 @@ class TableRow(NamedTuple):
 
 def default_table_pairs(max_p: int) -> list[tuple[int, int]]:
     """Coprime (p, q) with 2 <= q < p <= max_p, ordered by p then q."""
+    if type(max_p) is not int:
+        raise ValueError(f"max_p must be an integer, got {max_p!r}")
     if max_p < 3:
         raise ValueError(f"need max_p >= 3, got {max_p}")
     return [(p, q) for p in range(3, max_p + 1) for q in range(2, p)

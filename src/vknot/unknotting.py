@@ -343,6 +343,8 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
 def verify_theorem2(max_i: int) -> VerifyReport:
     """Run verify_row over every knot state with i up to ``max_i``, in
     parameter order, sharing one state cache across the rows."""
+    if type(max_i) is not int:
+        raise ValueError(f"max_i must be an integer, got {max_i!r}")
     if max_i < 2:
         raise ValueError(f"max_i must be >= 2, got {max_i}")
     cache: dict = {}

@@ -6,10 +6,19 @@ closure trace both as per-strand event lists spliced along the closure and
 as one walker making a full pass over the word per strand, arc membership
 as literal position sets, the cancelling-pair matcher as an
 all-pairings search, Gauss-code parsing as per-label role and sign sets,
-and the braid rewrites and unknotting moves as if-chains.
+and the unknotting moves as if-chains.
+
+The braid rewrite table is here too, though it checks no package code:
+the invariance tests walk words through its closure-preserving moves.
+Each local pattern is one function in ``_LOCAL_MOVES``, which both
+``rewrite_moves`` (where it matches) and ``apply_rewrite`` (where it does
+not) read.
 """
 
-from vknot.braid import BraidWord, Rewrite, RewriteKind, make_ijk
+from enum import Enum
+from typing import NamedTuple
+
+from vknot.braid import BraidLetter, BraidWord, classical, make_ijk, virtual
 from vknot.gauss import GaussDiagram, MultiComponentError, Role, remove_chords
 from vknot.unknotting import IJKState, StepKind, UnknottingSequence
 
@@ -110,34 +119,116 @@ def oracle_strand_walk(word: BraidWord) -> list[tuple[int, str, int]]:
     return sequence
 
 
-def oracle_rewrite_moves(word: BraidWord,
-                         include_insertions: bool = True) -> tuple[Rewrite, ...]:
-    """The rewrite listing as per-position if-chains, in the library's order."""
+class RewriteError(ValueError):
+    """A rewrite that does not apply at its stated location."""
+
+
+class RewriteKind(Enum):
+    FAR_COMMUTE = "far-commute"
+    BRAID_RELATION = "braid-relation"
+    VIRTUAL_RELATION = "virtual-relation"
+    MIXED_RELATION = "mixed-relation"
+    VIRTUAL_CANCEL = "virtual-cancel"
+    CLASSICAL_CANCEL = "classical-cancel"
+    VIRTUAL_INSERT = "virtual-insert"
+    CLASSICAL_INSERT = "classical-insert"
+    CONJUGATE = "conjugate"
+
+
+_Letters = tuple[BraidLetter, ...]
+
+
+class Rewrite(NamedTuple):
+    """One closure-preserving move, located by word position.
+
+    ``index`` is set only for insertions and ``sign`` only for classical
+    insertions; conjugation always has ``pos`` 0.  ``apply_rewrite``
+    refuses any other value of those fields, so each move has one value.
+    """
+
+    kind: RewriteKind
+    pos: int = 0
+    index: int = 0
+    sign: int = 1
+
+
+def _far_commute(a: BraidLetter, b: BraidLetter) -> _Letters | None:
+    # x_k y_l  <->  y_l x_k  for |k - l| >= 2
+    return (b, a) if abs(a.index - b.index) >= 2 else None
+
+
+def _virtual_cancel(a: BraidLetter, b: BraidLetter) -> _Letters | None:
+    # v_k v_k  ->  empty
+    return () if a.is_virtual and b.is_virtual and a.index == b.index else None
+
+
+def _classical_cancel(a: BraidLetter, b: BraidLetter) -> _Letters | None:
+    # s_k^e s_k^-e  ->  empty
+    ok = (a.is_classical and b.is_classical and a.index == b.index
+          and a.sign == -b.sign)
+    return () if ok else None
+
+
+def _braid_relation(a: BraidLetter, b: BraidLetter, c: BraidLetter) -> _Letters | None:
+    # s_k^e s_{k±1}^e s_k^e  <->  s_{k±1}^e s_k^e s_{k±1}^e
+    if (a.is_classical and b.is_classical and c.is_classical
+            and a.index == c.index and abs(a.index - b.index) == 1
+            and a.sign == b.sign == c.sign):
+        return (classical(b.index, a.sign), classical(a.index, a.sign),
+                classical(b.index, a.sign))
+    return None
+
+
+def _virtual_relation(a: BraidLetter, b: BraidLetter, c: BraidLetter) -> _Letters | None:
+    # v_k v_{k±1} v_k  <->  v_{k±1} v_k v_{k±1}
+    if (a.is_virtual and b.is_virtual and c.is_virtual
+            and a.index == c.index and abs(a.index - b.index) == 1):
+        return (virtual(b.index), virtual(a.index), virtual(b.index))
+    return None
+
+
+def _mixed_pattern(a: BraidLetter, b: BraidLetter, c: BraidLetter) -> _Letters | None:
+    # v_k v_{k+1} s_k^e  <->  s_{k+1}^e v_k v_{k+1}
+    if (a.is_virtual and b.is_virtual and c.is_classical
+            and b.index == a.index + 1 and c.index == a.index):
+        return (classical(a.index + 1, c.sign), virtual(a.index), virtual(a.index + 1))
+    if (a.is_classical and b.is_virtual and c.is_virtual
+            and a.index == b.index + 1 and c.index == b.index + 1):
+        return (virtual(b.index), virtual(b.index + 1), classical(b.index, a.sign))
+    return None
+
+
+# Each local rewrite: its window width and the function that returns the
+# window's replacement, or None where the pattern is absent.  Listing order
+# within a window follows this table.
+_LOCAL_MOVES = {
+    RewriteKind.FAR_COMMUTE: (2, _far_commute),
+    RewriteKind.VIRTUAL_CANCEL: (2, _virtual_cancel),
+    RewriteKind.CLASSICAL_CANCEL: (2, _classical_cancel),
+    RewriteKind.BRAID_RELATION: (3, _braid_relation),
+    RewriteKind.VIRTUAL_RELATION: (3, _virtual_relation),
+    RewriteKind.MIXED_RELATION: (3, _mixed_pattern),
+}
+
+
+def rewrite_moves(word: BraidWord, include_insertions: bool = True) -> tuple[Rewrite, ...]:
+    """All rewrites applicable to ``word``, in a fixed deterministic order:
+    2-letter moves by position, 3-letter moves by position, conjugation,
+    then insertions.
+
+    Pair insertions apply at every position, so they dominate the listing;
+    pass ``include_insertions=False`` for only the length-preserving and
+    length-reducing moves.
+    """
     letters = word.letters
     n = len(letters)
     moves: list[Rewrite] = []
-    for pos in range(n - 1):
-        a, b = letters[pos], letters[pos + 1]
-        if abs(a.index - b.index) >= 2:
-            moves.append(Rewrite(RewriteKind.FAR_COMMUTE, pos))
-        if a.is_virtual and b.is_virtual and a.index == b.index:
-            moves.append(Rewrite(RewriteKind.VIRTUAL_CANCEL, pos))
-        if (a.is_classical and b.is_classical and a.index == b.index
-                and a.sign == -b.sign):
-            moves.append(Rewrite(RewriteKind.CLASSICAL_CANCEL, pos))
-    for pos in range(n - 2):
-        a, b, c = letters[pos], letters[pos + 1], letters[pos + 2]
-        if a.index == c.index and abs(a.index - b.index) == 1:
-            if (a.is_classical and b.is_classical and c.is_classical
-                    and a.sign == b.sign == c.sign):
-                moves.append(Rewrite(RewriteKind.BRAID_RELATION, pos))
-            if a.is_virtual and b.is_virtual and c.is_virtual:
-                moves.append(Rewrite(RewriteKind.VIRTUAL_RELATION, pos))
-        if ((a.is_virtual and b.is_virtual and c.is_classical
-             and b.index == a.index + 1 and c.index == a.index)
-                or (a.is_classical and b.is_virtual and c.is_virtual
-                    and a.index == b.index + 1 and c.index == b.index + 1)):
-            moves.append(Rewrite(RewriteKind.MIXED_RELATION, pos))
+    for width in (2, 3):
+        for pos in range(n - width + 1):
+            window = letters[pos:pos + width]
+            moves.extend(Rewrite(kind, pos)
+                         for kind, (size, replace) in _LOCAL_MOVES.items()
+                         if size == width and replace(*window) is not None)
     if n >= 1:
         moves.append(Rewrite(RewriteKind.CONJUGATE))
     if include_insertions:
@@ -147,6 +238,39 @@ def oracle_rewrite_moves(word: BraidWord,
                 moves.append(Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, 1))
                 moves.append(Rewrite(RewriteKind.CLASSICAL_INSERT, pos, index, -1))
     return tuple(moves)
+
+
+def apply_rewrite(word: BraidWord, move: Rewrite) -> BraidWord:
+    """Apply one rewrite; raises RewriteError when it does not fit."""
+    letters = word.letters
+    n = len(letters)
+    kind, pos = move.kind, move.pos
+    # one Rewrite value per move: fields the kind does not use keep their defaults
+    if move.sign != 1 and kind is not RewriteKind.CLASSICAL_INSERT:
+        raise RewriteError(f"{kind.value} takes no sign, got {move.sign}")
+    if move.index != 0 and kind not in (RewriteKind.VIRTUAL_INSERT,
+                                        RewriteKind.CLASSICAL_INSERT):
+        raise RewriteError(f"{kind.value} takes no index, got {move.index}")
+    if kind is RewriteKind.CONJUGATE:
+        if n == 0:
+            raise RewriteError("cannot conjugate the empty word")
+        if pos != 0:
+            raise RewriteError(f"conjugation is listed at position 0, got {pos}")
+        return BraidWord(word.strands, letters[1:] + letters[:1])
+    if kind in _LOCAL_MOVES:
+        width, replace = _LOCAL_MOVES[kind]
+        if not 0 <= pos <= n - width:
+            raise RewriteError(f"{kind.value} needs {width} letters at position {pos}")
+        replacement = replace(*letters[pos:pos + width])
+        if replacement is None:
+            raise RewriteError(f"{kind.value} pattern not present at position {pos}")
+    else:
+        width, index, sign = 0, move.index, move.sign
+        if not 0 <= pos <= n or not 1 <= index < word.strands or sign not in (1, -1):
+            raise RewriteError(f"{kind.value} out of range")
+        replacement = ((virtual(index),) * 2 if kind is RewriteKind.VIRTUAL_INSERT
+                       else (classical(index, sign), classical(index, -sign)))
+    return BraidWord(word.strands, letters[:pos] + replacement + letters[pos + width:])
 
 
 def oracle_parse_gauss_code(text: str) -> GaussDiagram | None:

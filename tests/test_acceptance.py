@@ -11,12 +11,10 @@ from math import gcd
 
 from vknot.braid import (
     BraidWord,
-    apply_rewrite,
     classical,
     component_count,
     make_ijk,
     make_vt,
-    rewrite_moves,
 )
 from vknot.cli import main
 from vknot.gauss import emit_gauss_code, flip, gauss_from_closure
@@ -41,7 +39,7 @@ from vknot.unknotting import (
     verify_theorem2,
 )
 
-from oracles import reduce_r1_r2
+from oracles import apply_rewrite, reduce_r1_r2, rewrite_moves
 
 TABLE_COLUMN = {
     (3, 2): 0, (4, 3): 1, (5, 2): 0, (5, 3): 2, (5, 4): 4, (6, 5): 7,

@@ -466,7 +466,7 @@ def _encoded(records, nonzero_u=False):
 
 class TestScanClasses:
     """The scan's lines and summary are worked out once per (components, u,
-    P) object triple and must read as if each record were encoded alone."""
+    P) value and must read as if each record were encoded alone."""
 
     P = _poly({3: -1})
     PATTERN_U = _poly({2: 1, 1: -2})
@@ -488,6 +488,17 @@ class TestScanClasses:
     def test_hand_built_records_read_as_encoded_alone(self, nonzero_u):
         assert list(_scan_lines(*_with_texts(self.RECORDS), nonzero_u)) == _encoded(
             self.RECORDS, nonzero_u)
+
+    def test_one_encoding_per_class_value(self, monkeypatch):
+        # RECORDS holds equal (components, u, P) values as distinct objects
+        encoded, json_parts = [], ScanRecord.json_parts
+        monkeypatch.setattr(ScanRecord, "json_parts",
+                            lambda record: encoded.append(record) or json_parts(record))
+        list(_scan_lines(*_with_texts(self.RECORDS), False))
+        values = [(record.components, record.u, record.P) for record in encoded]
+        assert len(values) == len(set(values)) == 6
+        assert set(values) == {(record.components, record.u, record.P)
+                               for record in self.RECORDS}
 
     @pytest.mark.parametrize("start", range(len(RECORDS)))
     def test_summary_folds_classes_in_first_appearance_order(self, start):

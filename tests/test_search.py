@@ -95,6 +95,12 @@ class TestScan:
         with pytest.raises(ValueError, match="limit must be >= 0"):
             list(scan_torus_virtualizations(p, q, limit=-3))
 
+    @pytest.mark.parametrize("p,q,limit", [(5.0, 4, None), (5, 4.0, None),
+                                           (5, 4, True), (5, 4, 1.0)])
+    def test_non_integer_arguments_rejected(self, p, q, limit):
+        with pytest.raises(ValueError, match="integer"):
+            list(scan_torus_virtualizations(p, q, limit))
+
     def test_determinism(self):
         first = list(scan_torus_virtualizations(3, 4, limit=200))
         second = list(scan_torus_virtualizations(3, 4, limit=200))

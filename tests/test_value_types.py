@@ -9,12 +9,11 @@ import sys
 
 import pytest
 
-from vknot.braid import (BraidLetter, BraidWord, LetterKind, Rewrite, RewriteKind,
-                         classical, make_ijk, make_vt, parse_braid, parse_family,
-                         virtual)
+from vknot.braid import (BraidLetter, BraidWord, LetterKind, classical, make_ijk,
+                         make_vt, parse_braid, parse_family, virtual)
 from vknot.gauss import GaussDiagram, Role, gauss_from_closure
 from vknot.invariants import IndexPolynomial
-from vknot.search import ScanSummary, TableRow
+from vknot.search import ScanSummary, TableRow, _scan_subsets, default_table_pairs
 from vknot.unknotting import (IJKState, StepKind, UnknottingSequence, UnknottingStep,
                               VerifyReport, VerifyRow, next_step, unknotting_sequence,
                               verify_row, verify_theorem2)
@@ -30,10 +29,6 @@ SAMPLES = {
         "BraidWord(strands=3, letters=(BraidLetter(kind=<LetterKind.VIRTUAL: "
         "'virtual'>, index=1, sign=1), BraidLetter(kind=<LetterKind.CLASSICAL: "
         "'classical'>, index=2, sign=-1)))"),
-    "Rewrite": (
-        lambda: Rewrite(RewriteKind.CLASSICAL_INSERT, 1, 2, -1),
-        "Rewrite(kind=<RewriteKind.CLASSICAL_INSERT: 'classical-insert'>, pos=1, "
-        "index=2, sign=-1)"),
     "GaussDiagram": (
         lambda: gauss_from_closure(parse_braid("1 1 1")),
         "GaussDiagram(endpoints=((0, <Role.OVER: 'O'>), (1, <Role.UNDER: 'U'>), "
@@ -117,6 +112,16 @@ BAD_ARGUMENTS = [
     # a strand count must be an int, bool excluded
     (BraidWord, dict(strands=3.0, letters=(classical(1),))),
     (BraidWord, dict(strands=True, letters=())),
+    # scan, table and verify sizes must be ints, bool excluded; the scan
+    # checks its arguments in _scan_subsets, which the CLI calls too
+    (_scan_subsets, dict(p=5.0, q=4, limit=None)),
+    (_scan_subsets, dict(p=5, q=4.0, limit=None)),
+    (_scan_subsets, dict(p=True, q=4, limit=1)),
+    (_scan_subsets, dict(p=5, q=4, limit=True)),
+    (_scan_subsets, dict(p=5, q=4, limit=2.0)),
+    (default_table_pairs, dict(max_p=8.0)),
+    (verify_theorem2, dict(max_i=3.0)),
+    (verify_theorem2, dict(max_i=True)),
 ]
 
 # Per validated type: a _replace of its sample that stays valid, the value
@@ -189,7 +194,6 @@ def test_copies_and_pickles_are_equal_values(name):
 def test_letters_and_words_keep_their_lengths():
     word = parse_braid("v1 -2 1", 3)
     assert len(word) == 3 and not BraidWord(2)
-    assert word.replace(0, 1, (virtual(2),)).emit() == "v2 -2 1"
 
 
 @pytest.mark.parametrize("cls,kwargs", BAD_ARGUMENTS,
@@ -224,8 +228,6 @@ def test_sequence_totals_are_worked_out_not_passed():
 
 
 def test_unchecked_types_keep_their_defaults():
-    assert Rewrite(RewriteKind.CONJUGATE) == Rewrite(kind=RewriteKind.CONJUGATE, pos=0,
-                                                     index=0, sign=1)
     assert VerifyRow(2, 1, 0, 0, 0, 0, True).detail == ""
     assert VerifyReport(max_i=2, rows=()).all_passed
 
