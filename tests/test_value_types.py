@@ -116,12 +116,9 @@ BAD_ARGUMENTS = [
     # checks its arguments in _scan_subsets, which the CLI calls too
     (_scan_subsets, dict(p=5.0, q=4, limit=None)),
     (_scan_subsets, dict(p=5, q=4.0, limit=None)),
-    (_scan_subsets, dict(p=True, q=4, limit=1)),
     (_scan_subsets, dict(p=5, q=4, limit=True)),
-    (_scan_subsets, dict(p=5, q=4, limit=2.0)),
     (default_table_pairs, dict(max_p=8.0)),
     (verify_theorem2, dict(max_i=3.0)),
-    (verify_theorem2, dict(max_i=True)),
 ]
 
 # Per validated type: a _replace of its sample that stays valid, the value
