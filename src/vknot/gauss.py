@@ -14,7 +14,7 @@ import re
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .braid import BraidWord, _CLASSICAL, _Checked, _cycles
+from .braid import BraidLetter, BraidWord, _CLASSICAL, _Checked, _cycles
 
 
 class Role(Enum):
@@ -114,8 +114,17 @@ def gauss_from_closure(word: BraidWord) -> GaussDiagram:
     visits: list[list[tuple[int, Role]]] = [[] for _ in range(word.strands)]
     occupant = list(range(word.strands))  # strands, named by entry position
     signs: list[int] = []
+    _sweep(word.letters, visits, occupant, signs)
+    return _splice(visits, occupant, signs)
+
+
+def _sweep(letters: Iterable[BraidLetter], visits: list[list[tuple[int, Role]]],
+           occupant: list[int], signs: list[int]) -> None:
+    """Extend a trace in place by ``letters``: each strand's ``visits``, the
+    strand at each position (``occupant``) and the chord ``signs``.  A word
+    traced in pieces gives the same lists as traced whole."""
     classical, over, under = _CLASSICAL, _OVER, _UNDER
-    for letter in word.letters:
+    for letter in letters:
         a = letter.index - 1
         top, bottom = occupant[a], occupant[a + 1]
         if letter.kind is classical:
@@ -128,6 +137,12 @@ def gauss_from_closure(word: BraidWord) -> GaussDiagram:
                 visits[top].append((chord, under))
                 visits[bottom].append((chord, over))
         occupant[a], occupant[a + 1] = bottom, top
+
+
+def _splice(visits: list[list[tuple[int, Role]]], occupant: list[int],
+            signs: list[int]) -> GaussDiagram:
+    """The diagram of a finished trace: the strands' visits joined along the
+    closure's first component, which must hold every strand."""
     cycles = _cycles(occupant)
     if len(cycles) != 1:
         raise MultiComponentError(len(cycles))

@@ -45,6 +45,10 @@ def virtualize_subset(p: int, q: int, subset: Iterable[int]) -> BraidWord:
         raise ValueError(f"need p >= 2 and q >= 2, got ({p},{q})")
     chosen: set[int] = set()
     for position in subset:
+        # bool is an int subclass and 1.0 compares equal to 1; neither names
+        # a position
+        if type(position) is not int:
+            raise ValueError(f"positions must be integers, got {position!r}")
         if not 0 <= position < len(letters):
             raise ValueError(
                 f"position {position} out of range for {len(letters)} crossings")

@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .braid import (BraidWord, _Checked, _block_indices, _cycles, _occupants,
                     component_count, make_ijk)
-from .gauss import MultiComponentError, gauss_from_closure
+from .gauss import (GaussDiagram, MultiComponentError, _splice, _sweep,
+                    gauss_from_closure)
 from .invariants import IndexPolynomial, bound_from_p, u_and_p
 
 
@@ -243,13 +244,35 @@ def unknotting_sequence(i: int, j: int, k: int) -> UnknottingSequence:
 
 def knot_parameter_triples(max_i: int) -> Iterator[tuple[int, int, int]]:
     """One-component (i, j, k) with 2 <= i <= max_i, 1 <= j <= i, 0 <= k < i."""
+    _check_max_i(max_i)
+    return (triple for triple, _, _ in _knot_traces(max_i))
+
+
+def _check_max_i(max_i: int) -> None:
+    if type(max_i) is not int:
+        raise ValueError(f"max_i must be an integer, got {max_i!r}")
+    if max_i < 2:
+        raise ValueError(f"max_i must be >= 2, got {max_i}")
+
+
+def _knot_traces(max_i: int) -> Iterator[tuple[tuple[int, int, int], tuple, tuple]]:
+    """Each triple of knot_parameter_triples, in order, with the closure
+    trace ``(visits, occupant, signs)`` of make_ijk(i, j, 0) and the letters
+    of its k-letter tail.
+
+    Each i's blocks are swept once, the j-th as j reaches it, so the trace
+    is shared by every k of one (i, j) and then extended in place: a caller
+    that extends it works on a copy.
+    """
     for i in range(2, max_i + 1):
+        letters = make_ijk(i, i, i - 1).letters
+        blocks, tails = letters[:i * (i - 1)], letters[i * (i - 1):]
+        visits, occupant, signs = [[] for _ in range(i)], list(range(i)), []
         for j in range(1, i + 1):
-            # the j ascending blocks are shared by every k; only the tail differs
-            blocks = _occupants(i, _block_indices(i, j, 0))
+            _sweep(blocks[(j - 1) * (i - 1):j * (i - 1)], visits, occupant, signs)
             for k in range(i):
-                if len(_cycles(_occupants(i, _block_indices(i, 0, k), blocks))) == 1:
-                    yield (i, j, k)
+                if len(_cycles(_occupants(i, _block_indices(i, 0, k), occupant))) == 1:
+                    yield (i, j, k), (visits, occupant, signs), tails[i - 1 - k:]
 
 
 class VerifyRow(NamedTuple):
@@ -290,15 +313,18 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _state_check(state: IJKState, cache: dict) -> tuple[str, IndexPolynomial | None]:
+def _state_check(state: IJKState, cache: dict,
+                 diagram: GaussDiagram | None = None) -> tuple[str, IndexPolynomial | None]:
     """The state's complaint, empty when it is a knot with zero u, and its
-    P, None for a link; traced once and kept in ``cache`` under the state's
-    text (the state itself keys its first move there, and equals its plain
-    (i, j, k) tuple)."""
+    P, None for a link; worked out once, from ``diagram`` when given and
+    else from the state's traced word, and kept in ``cache`` under the
+    state's text (the state itself keys its first move there, and equals
+    its plain (i, j, k) tuple)."""
     key = str(state)
     if key not in cache:
         try:
-            u, p = u_and_p(gauss_from_closure(state.braid_word()))
+            u, p = u_and_p(gauss_from_closure(state.braid_word())
+                           if diagram is None else diagram)
         except MultiComponentError as error:
             cache[key] = (f"intermediate {state} has {error.components} components",
                           None)
@@ -342,11 +368,20 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
 
 def verify_theorem2(max_i: int) -> VerifyReport:
     """Run verify_row over every knot state with i up to ``max_i``, in
-    parameter order, sharing one state cache across the rows."""
-    if type(max_i) is not int:
-        raise ValueError(f"max_i must be an integer, got {max_i!r}")
-    if max_i < 2:
-        raise ValueError(f"max_i must be >= 2, got {max_i}")
+    parameter order, sharing one state cache across the rows.
+
+    Each row's diagram is its (i, j) blocks' shared trace, copied and
+    extended by its own tail, and is checked before verify_row reads the
+    result from the cache.  Every intermediate state of a row's chain is an
+    earlier row, so no word is traced whole.
+    """
+    _check_max_i(max_i)
     cache: dict = {}
-    return VerifyReport(max_i, tuple(
-        verify_row(i, j, k, cache) for i, j, k in knot_parameter_triples(max_i)))
+    rows = []
+    for (i, j, k), (visits, occupant, signs), tail in _knot_traces(max_i):
+        visits = [strand.copy() for strand in visits]
+        occupant, signs = occupant.copy(), signs.copy()
+        _sweep(tail, visits, occupant, signs)
+        _state_check(IJKState(i, j, k), cache, _splice(visits, occupant, signs))
+        rows.append(verify_row(i, j, k, cache))
+    return VerifyReport(max_i, tuple(rows))

@@ -11,6 +11,8 @@ from vknot.gauss import (
     GaussDiagram,
     MultiComponentError,
     Role,
+    _splice,
+    _sweep,
     emit_gauss_code,
     flip,
     gauss_from_closure,
@@ -55,6 +57,15 @@ class TestTrace:
                for chord, role in diagram.endpoints]
         assert got == oracle_trace(word)
         assert got == oracle_strand_walk(word)
+
+    @given(knot_words(), st.data())
+    def test_a_word_swept_in_two_pieces_traces_like_the_whole(self, word, data):
+        # verify_theorem2 sweeps shared block prefixes and then each tail
+        cut = data.draw(st.integers(0, len(word)))
+        trace = ([[] for _ in range(word.strands)], list(range(word.strands)), [])
+        _sweep(word.letters[:cut], *trace)
+        _sweep(word.letters[cut:], *trace)
+        assert _splice(*trace) == gauss_from_closure(word)
 
     @given(braid_words().filter(lambda word: oracle_cycle_count(word) > 1))
     def test_links_rejected_like_the_oracles(self, word):

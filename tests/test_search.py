@@ -57,6 +57,12 @@ class TestVirtualizeSubset:
         with pytest.raises(ValueError):
             virtualize_subset(2, 1, ())
 
+    @pytest.mark.parametrize("position", [1.0, True, False, "1", None])
+    def test_rejects_non_integer_positions(self, position):
+        # 1.0 and True used to pass the range check and virtualize position 1
+        with pytest.raises(ValueError, match="positions must be integers"):
+            virtualize_subset(3, 2, (0, position))
+
 
 class TestScan:
     def test_trefoil_diagram_scan(self):

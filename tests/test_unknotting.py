@@ -6,7 +6,7 @@ import pytest
 
 from vknot.braid import component_count, make_ijk
 from vknot.gauss import MultiComponentError, gauss_from_closure
-from vknot import unknotting
+from vknot import gauss, unknotting
 from vknot.invariants import IndexPolynomial, u_invariant
 from vknot.unknotting import (
     IJKState,
@@ -381,13 +381,70 @@ class TestOneTracePerState:
         states = unknotting_sequence(*triple).states()
         assert Counter(traced) == Counter(state.braid_word() for state in set(states))
 
-    def test_the_sweep_traces_each_state_once(self, traced):
+    def test_the_sweep_traces_each_state_once(self, traced, monkeypatch):
+        # the sweep splices each row's diagram from its blocks' shared trace
+        # and never traces a whole word: every chain state is a row
+        spliced, handed = [], []
+        real_splice, real_check = unknotting._splice, unknotting._state_check
+        monkeypatch.setattr(unknotting, "_splice",
+                            lambda *trace: spliced.append(trace) or real_splice(*trace))
+
+        def check(state, cache, diagram=None):
+            if diagram is not None:
+                handed.append((state, diagram))
+            return real_check(state, cache, diagram)
+
+        monkeypatch.setattr(unknotting, "_state_check", check)
         report = verify_theorem2(10)
         states = {state for row in report.rows
                   for state in unknotting_sequence(row.i, row.j, row.k).states()}
-        assert Counter(traced) == Counter(state.braid_word() for state in states)
+        assert traced == []
+        assert len(spliced) == len(handed) == len(states)
+        assert Counter(state for state, _ in handed) == Counter(states)
+        assert all(diagram == gauss_from_closure(state.braid_word())
+                   for state, diagram in handed)
 
     @pytest.mark.parametrize("triple", [(2, 2, 0), (3, 1, 1), (4, 3, 1)])
     def test_a_link_row_raises_a_typed_error(self, triple):
         with pytest.raises((MultiComponentError, NotAKnotError)):
             verify_row(*triple)
+
+
+class TestSharedSweep:
+    """verify_theorem2 sweeps each i's blocks once and each row's tail once."""
+
+    def test_rows_get_the_diagrams_of_the_one_component_words(self, monkeypatch):
+        handed = []
+        real = unknotting._state_check
+
+        def check(state, cache, diagram=None):
+            if diagram is not None:
+                handed.append((state.as_tuple(), diagram))
+            return real(state, cache, diagram)
+
+        monkeypatch.setattr(unknotting, "_state_check", check)
+        verify_theorem2(12)
+        knots = [(i, j, k) for i in range(2, 13) for j in range(1, i + 1)
+                 for k in range(i) if component_count(make_ijk(i, j, k)) == 1]
+        assert [triple for triple, _ in handed] == knots
+        assert list(knot_parameter_triples(12)) == knots
+        for triple, diagram in handed:
+            assert diagram == gauss_from_closure(make_ijk(*triple))
+
+    def test_the_sweep_reads_each_block_and_tail_once(self, monkeypatch):
+        # the 496 rows to i = 16 hold 42 190 letters; each i's i blocks of
+        # i-1 letters hold 1 360 in all, and the rows' tails 2 782
+        letters = []
+        real = gauss._sweep
+
+        def sweep(word_letters, *trace):
+            letters.extend(word_letters)
+            real(word_letters, *trace)
+
+        monkeypatch.setattr(gauss, "_sweep", sweep)
+        monkeypatch.setattr(unknotting, "_sweep", sweep)
+        report = verify_theorem2(16)
+        assert len(report.rows) == 496 and report.all_passed
+        assert sum(len(make_ijk(row.i, row.j, row.k)) for row in report.rows) == 42190
+        assert sum(row.k for row in report.rows) == 2782
+        assert len(letters) == 4142

@@ -15,8 +15,8 @@ from vknot.gauss import GaussDiagram, Role, gauss_from_closure
 from vknot.invariants import IndexPolynomial
 from vknot.search import ScanSummary, TableRow, _scan_subsets, default_table_pairs
 from vknot.unknotting import (IJKState, StepKind, UnknottingSequence, UnknottingStep,
-                              VerifyReport, VerifyRow, next_step, unknotting_sequence,
-                              verify_row, verify_theorem2)
+                              VerifyReport, VerifyRow, knot_parameter_triples, next_step,
+                              unknotting_sequence, verify_row, verify_theorem2)
 
 # One sample of each public value type, built fresh on every call, and its
 # repr as the earlier dataclass-based types printed it.
@@ -119,6 +119,12 @@ BAD_ARGUMENTS = [
     (_scan_subsets, dict(p=5, q=4, limit=True)),
     (default_table_pairs, dict(max_p=8.0)),
     (verify_theorem2, dict(max_i=3.0)),
+    # knot_parameter_triples shares verify_theorem2's check, and refuses
+    # before the first triple is asked for
+    (knot_parameter_triples, dict(max_i=True)),
+    (knot_parameter_triples, dict(max_i=3.0)),
+    (knot_parameter_triples, dict(max_i=1)),
+    (verify_theorem2, dict(max_i=True)),
 ]
 
 # Per validated type: a _replace of its sample that stays valid, the value
