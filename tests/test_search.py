@@ -59,7 +59,7 @@ class TestVirtualizeSubset:
 
     @pytest.mark.parametrize("position", [1.0, True, False, "1", None])
     def test_rejects_non_integer_positions(self, position):
-        # 1.0 and True used to pass the range check and virtualize position 1
+        # 1.0 and True compare equal to position 1 but do not name it
         with pytest.raises(ValueError, match="positions must be integers"):
             virtualize_subset(3, 2, (0, position))
 

@@ -32,6 +32,21 @@ ALL_STATES = [IJKState(i, j, k) for i in range(2, 11)
               for j in range(1, 3 * i + 1) for k in range(i)]
 
 
+@pytest.fixture
+def handed(monkeypatch):
+    """(state, diagram) for each diagram handed to _state_check."""
+    pairs = []
+    real = unknotting._state_check
+
+    def check(state, cache, diagram=None):
+        if diagram is not None:
+            pairs.append((state, diagram))
+        return real(state, cache, diagram)
+
+    monkeypatch.setattr(unknotting, "_state_check", check)
+    return pairs
+
+
 def _valid_state(i, j, k):
     return i >= 2 and j >= 1 and 0 <= k < i
 
@@ -381,20 +396,13 @@ class TestOneTracePerState:
         states = unknotting_sequence(*triple).states()
         assert Counter(traced) == Counter(state.braid_word() for state in set(states))
 
-    def test_the_sweep_traces_each_state_once(self, traced, monkeypatch):
+    def test_the_sweep_traces_each_state_once(self, traced, handed, monkeypatch):
         # the sweep splices each row's diagram from its blocks' shared trace
         # and never traces a whole word: every chain state is a row
-        spliced, handed = [], []
-        real_splice, real_check = unknotting._splice, unknotting._state_check
+        spliced = []
+        real = unknotting._splice
         monkeypatch.setattr(unknotting, "_splice",
-                            lambda *trace: spliced.append(trace) or real_splice(*trace))
-
-        def check(state, cache, diagram=None):
-            if diagram is not None:
-                handed.append((state, diagram))
-            return real_check(state, cache, diagram)
-
-        monkeypatch.setattr(unknotting, "_state_check", check)
+                            lambda *trace: spliced.append(trace) or real(*trace))
         report = verify_theorem2(10)
         states = {state for row in report.rows
                   for state in unknotting_sequence(row.i, row.j, row.k).states()}
@@ -413,23 +421,14 @@ class TestOneTracePerState:
 class TestSharedSweep:
     """verify_theorem2 sweeps each i's blocks once and each row's tail once."""
 
-    def test_rows_get_the_diagrams_of_the_one_component_words(self, monkeypatch):
-        handed = []
-        real = unknotting._state_check
-
-        def check(state, cache, diagram=None):
-            if diagram is not None:
-                handed.append((state.as_tuple(), diagram))
-            return real(state, cache, diagram)
-
-        monkeypatch.setattr(unknotting, "_state_check", check)
+    def test_rows_get_the_diagrams_of_the_one_component_words(self, handed):
         verify_theorem2(12)
         knots = [(i, j, k) for i in range(2, 13) for j in range(1, i + 1)
                  for k in range(i) if component_count(make_ijk(i, j, k)) == 1]
-        assert [triple for triple, _ in handed] == knots
+        assert [state.as_tuple() for state, _ in handed] == knots
         assert list(knot_parameter_triples(12)) == knots
-        for triple, diagram in handed:
-            assert diagram == gauss_from_closure(make_ijk(*triple))
+        for state, diagram in handed:
+            assert diagram == gauss_from_closure(make_ijk(*state))
 
     def test_the_sweep_reads_each_block_and_tail_once(self, monkeypatch):
         # the 496 rows to i = 16 hold 42 190 letters; each i's i blocks of
