@@ -24,8 +24,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
-from .braid import (BraidWord, _Checked, _block_indices, _cycles, _occupants,
-                    component_count, make_ijk)
+from .braid import BraidWord, _Checked, _cycles, component_count, make_ijk
 from .gauss import (GaussDiagram, MultiComponentError, _splice, _sweep,
                     gauss_from_closure)
 from .invariants import IndexPolynomial, bound_from_p, u_and_p
@@ -164,10 +163,7 @@ class UnknottingSequence(_UnknottingSequence):
         if not state.is_terminal:
             raise ValueError(f"sequence ends at non-terminal state {state}")
         total = sum(step.changes for step in steps)
-        crossings = start.crossing_count()
-        if 2 * total != crossings:
-            raise ValueError(
-                f"change total {total} is not half of {crossings} crossings")
+        _check_total(start, total)
         ops = sum(1 for step in steps if step.kind is not _REDUCE)
         return tuple.__new__(cls, (start, steps, total, ops))
 
@@ -197,6 +193,13 @@ class UnknottingSequence(_UnknottingSequence):
         }
 
 
+def _check_total(start: IJKState, total: int) -> None:
+    """A chain from ``start`` to a terminal state changes half its crossings."""
+    crossings = start.crossing_count()
+    if 2 * total != crossings:
+        raise ValueError(f"change total {total} is not half of {crossings} crossings")
+
+
 def next_step(state: IJKState) -> UnknottingStep:
     """The first move whose guard holds, trying Reduce, A, C, B in turn.
 
@@ -213,24 +216,17 @@ def next_step(state: IJKState) -> UnknottingStep:
     raise NotAKnotError(state, component_count(state.braid_word()))
 
 
-def _walk(start: IJKState,
-          first_steps: dict[IJKState, UnknottingStep]) -> tuple[UnknottingStep, ...]:
-    """The move chain from ``start`` down to a terminal state.
-
-    Each state's first move is read from ``first_steps`` or made by
-    ``next_step`` and kept there, so callers that share the dict compute
-    each state's move once.
-    """
+def _walk(start: IJKState, records: dict) -> tuple[UnknottingStep, ...]:
+    """The move chain from ``start`` down to a terminal state, or to the
+    first state that already has a record in ``records``."""
     steps: list[UnknottingStep] = []
     state = start
-    while not state.is_terminal:
-        step = first_steps.get(state)
-        if step is None:
-            try:
-                step = first_steps[state] = next_step(state)
-            except NotAKnotError as error:
-                # moves keep the component count, so the start is the link
-                raise NotAKnotError(start, error.components) from None
+    while not state.is_terminal and state not in records:
+        try:
+            step = next_step(state)
+        except NotAKnotError as error:
+            # moves keep the component count, so the start is the link
+            raise NotAKnotError(start, error.components) from None
         steps.append(step)
         state = step.after
     return tuple(steps)
@@ -271,8 +267,14 @@ def _knot_traces(max_i: int) -> Iterator[tuple[tuple[int, int, int], tuple, tupl
         for j in range(1, i + 1):
             _sweep(blocks[(j - 1) * (i - 1):j * (i - 1)], visits, occupant, signs)
             for k in range(i):
-                if len(_cycles(_occupants(i, _block_indices(i, 0, k), occupant))) == 1:
+                if len(_cycles(_after_tail(occupant, k))) == 1:
                     yield (i, j, k), (visits, occupant, signs), tails[i - 1 - k:]
+
+
+def _after_tail(occupant: list[int], k: int) -> list[int]:
+    """``occupant`` after the tail s_k ... s_1: the strand at position k
+    moves to position 0 and positions 0 ... k-1 shift up by one."""
+    return [occupant[k], *occupant[:k], *occupant[k + 1:]]
 
 
 class VerifyRow(NamedTuple):
@@ -313,24 +315,47 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _state_check(state: IJKState, cache: dict,
+def _state_check(state: IJKState,
                  diagram: GaussDiagram | None = None) -> tuple[str, IndexPolynomial | None]:
     """The state's complaint, empty when it is a knot with zero u, and its
-    P, None for a link; worked out once, from ``diagram`` when given and
-    else from the state's traced word, and kept in ``cache`` under the
-    state's text (the state itself keys its first move there, and equals
-    its plain (i, j, k) tuple)."""
-    key = str(state)
-    if key not in cache:
-        try:
-            u, p = u_and_p(gauss_from_closure(state.braid_word())
-                           if diagram is None else diagram)
-        except MultiComponentError as error:
-            cache[key] = (f"intermediate {state} has {error.components} components",
-                          None)
-        else:
-            cache[key] = ("" if u.is_zero else f"intermediate {state} has nonzero u", p)
-    return cache[key]
+    P, None for a link; from ``diagram`` when given and else from the
+    state's traced word."""
+    try:
+        u, p = u_and_p(gauss_from_closure(state.braid_word())
+                       if diagram is None else diagram)
+    except MultiComponentError as error:
+        return f"intermediate {state} has {error.components} components", None
+    return "" if u.is_zero else f"intermediate {state} has nonzero u", p
+
+
+def _chain_record(start: IJKState, cache: dict, diagram: GaussDiagram | None = None
+                  ) -> tuple[int, str, IndexPolynomial | None]:
+    """``start``'s record: the change total of its move chain, the chain's
+    first complaint in chain order, and ``start``'s P.
+
+    Walks down to the first state with a record in ``cache``, or to the
+    terminal state, whose record starts from a zero total; then folds back
+    up one move at a time, each state adding its move's cost to the next
+    state's total and its own complaint, if any, before the next state's.
+    Each folded total must be half the state's crossing count, as for an
+    UnknottingSequence, and each state's record is kept in ``cache`` under
+    the state.  ``diagram``, when given, is ``start``'s traced closure.
+    """
+    steps = _walk(start, cache)
+    bottom = steps[-1].after if steps else start
+    moves = [(step.before, step.changes) for step in steps]
+    if bottom in cache:
+        total, complaint, _ = cache[bottom]
+    else:  # the terminal state
+        total, complaint = 0, ""
+        moves.append((bottom, 0))
+    for state, changes in reversed(moves):
+        message, p = _state_check(state, diagram if state is start else None)
+        total += changes
+        _check_total(state, total)
+        complaint = message or complaint
+        cache[state] = (total, complaint, p)
+    return cache[start]
 
 
 def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
@@ -338,30 +363,25 @@ def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
     cost, and the closed formula must agree, and every intermediate state
     must stay a knot with vanishing u.
 
-    ``cache``, when shared across rows, keeps each state's first move (keyed
-    by the state) and its check message and P (keyed by its text, "(i,j,k)").
-    A link start raises NotAKnotError from the walk, as no move can bring a
-    link to the terminal unknot.
+    ``cache``, when shared across rows, keeps each state's record (its
+    chain's change total, the chain's first complaint and its P) keyed by
+    the state, so a row's chain is followed only down to the first state
+    already on record.  A link start raises NotAKnotError from the walk,
+    as no move can bring a link to the terminal unknot.
     """
-    if cache is None:
-        cache = {}
     state = IJKState(i, j, k)
     # a knot's permutation is one i-cycle, a product of i-1 transpositions,
     # so its (i-1)j + k letters have i-1's parity and its crossing count
-    # (i-1)(j-1) + k is even; UnknottingSequence would raise on an odd one
+    # (i-1)(j-1) + k is even; _chain_record would raise on an odd one
     formula = state.crossing_count() // 2
-    sequence = UnknottingSequence(state, _walk(state, cache))
-    lower = bound_from_p(_state_check(state, cache)[1])
-    upper = sequence.total_changes
+    upper, complaint, p = _chain_record(state, {} if cache is None else cache)
+    lower = bound_from_p(p)
     problems: list[str] = []
     if not lower == upper == formula:
         problems.append(
             f"bounds disagree: lower={lower} upper={upper} formula={formula}")
-    for intermediate in sequence.states():
-        message = _state_check(intermediate, cache)[0]
-        if message:
-            problems.append(message)
-            break
+    if complaint:
+        problems.append(complaint)
     return VerifyRow(i, j, k, lower, upper, formula, not problems,
                      "; ".join(problems))
 
@@ -371,9 +391,10 @@ def verify_theorem2(max_i: int) -> VerifyReport:
     parameter order, sharing one state cache across the rows.
 
     Each row's diagram is its (i, j) blocks' shared trace, copied and
-    extended by its own tail, and is checked before verify_row reads the
-    result from the cache.  Every intermediate state of a row's chain is an
-    earlier row, so no word is traced whole.
+    extended by its own tail, and is checked as the row's chain record is
+    folded, before verify_row reads the record from the cache.  Every later
+    state of a row's chain is an earlier row, so no word is traced whole
+    and each row makes one move.
     """
     _check_max_i(max_i)
     cache: dict = {}
@@ -382,6 +403,6 @@ def verify_theorem2(max_i: int) -> VerifyReport:
         visits = [strand.copy() for strand in visits]
         occupant, signs = occupant.copy(), signs.copy()
         _sweep(tail, visits, occupant, signs)
-        _state_check(IJKState(i, j, k), cache, _splice(visits, occupant, signs))
+        _chain_record(IJKState(i, j, k), cache, _splice(visits, occupant, signs))
         rows.append(verify_row(i, j, k, cache))
     return VerifyReport(max_i, tuple(rows))

@@ -16,11 +16,12 @@ not) read.
 """
 
 from enum import Enum
+from functools import cache
 from typing import NamedTuple
 
 from vknot.braid import BraidLetter, BraidWord, classical, make_ijk, virtual
 from vknot.gauss import GaussDiagram, MultiComponentError, Role, remove_chords
-from vknot.unknotting import IJKState, StepKind, UnknottingSequence
+from vknot.unknotting import IJKState, StepKind, UnknottingSequence, VerifyRow
 
 
 def oracle_permutation(word: BraidWord) -> tuple[int, ...]:
@@ -465,6 +466,42 @@ def oracle_first_move(i: int, j: int,
     if i == k + 1:
         return StepKind.C, (i, j - 1, 0), i - 1
     return StepKind.B, (i - 1, j - 1, j + k - i - 1), i - 1
+
+
+@cache
+def _oracle_state_check(i: int, j: int, k: int) -> tuple[int, bool]:
+    """Half P's absolute coefficient sum, rounded up, and whether u is
+    nonzero, by the brute-force arc sets on the state's ``oracle_trace``."""
+    events = oracle_trace(make_ijk(i, j, k))
+    signs = dict((chord, sign) for chord, _, sign in events)
+    diagram = GaussDiagram(tuple((chord, Role(role)) for chord, role, _ in events),
+                           tuple(signs[chord] for chord in range(len(signs))))
+    p = brute_p_coefficients(diagram)
+    return (sum(map(abs, p.values())) + 1) // 2, bool(brute_u_coefficients(diagram))
+
+
+def oracle_verify_row(i: int, j: int, k: int) -> VerifyRow:
+    """The theorem-2 row of a knot state, rebuilt from scratch: the chain
+    from ``oracle_first_move``, P and u from the brute-force arc sets, and
+    the first state in chain order with a nonzero u as the complaint."""
+    chain, upper = [(i, j, k)], 0
+    move = oracle_first_move(i, j, k)
+    while move is not None:
+        _, state, cost = move
+        chain.append(state)
+        upper += cost
+        move = oracle_first_move(*state)
+    lower = _oracle_state_check(i, j, k)[0]
+    formula = ((i - 1) * (j - 1) + k) // 2
+    problems = []
+    if not lower == upper == formula:
+        problems.append(f"bounds disagree: lower={lower} upper={upper} "
+                        f"formula={formula}")
+    failing = [state for state in chain if _oracle_state_check(*state)[1]]
+    if failing:
+        problems.append("intermediate ({},{},{}) has nonzero u".format(*failing[0]))
+    return VerifyRow(i, j, k, lower, upper, formula, not problems,
+                     "; ".join(problems))
 
 
 def replay_sequence(sequence: UnknottingSequence) -> None:

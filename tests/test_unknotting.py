@@ -1,13 +1,17 @@
 """Unknotting states, moves, sequences, and the verification sweep."""
 
+import inspect
+import random
+import sys
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
-from vknot.braid import component_count, make_ijk
+from vknot.braid import _block_indices, _occupants, component_count, make_ijk
 from vknot.gauss import MultiComponentError, gauss_from_closure
 from vknot import gauss, unknotting
-from vknot.invariants import IndexPolynomial, u_invariant
+from vknot.invariants import IndexPolynomial, p_invariant, u_invariant
 from vknot.unknotting import (
     IJKState,
     NotAKnotError,
@@ -15,6 +19,7 @@ from vknot.unknotting import (
     TerminalStateError,
     UnknottingSequence,
     UnknottingStep,
+    _after_tail,
     _walk,
     knot_parameter_triples,
     next_step,
@@ -24,7 +29,7 @@ from vknot.unknotting import (
 )
 
 from oracles import (oracle_cycle_count, oracle_first_move, oracle_move_rule,
-                     replay_sequence)
+                     oracle_verify_row, replay_sequence)
 
 # Every state with i <= 10, 1 <= j <= 3i and 0 <= k < i: knots, links,
 # terminal states and repeated full twists.
@@ -38,10 +43,10 @@ def handed(monkeypatch):
     pairs = []
     real = unknotting._state_check
 
-    def check(state, cache, diagram=None):
+    def check(state, diagram=None):
         if diagram is not None:
             pairs.append((state, diagram))
-        return real(state, cache, diagram)
+        return real(state, diagram)
 
     monkeypatch.setattr(unknotting, "_state_check", check)
     return pairs
@@ -336,16 +341,37 @@ class TestFirstStepCache:
         cache: dict = {}
         for i, j, k in knot_parameter_triples(10):
             verify_row(i, j, k, cache)
-            assert (_walk(IJKState(i, j, k), cache)
-                    == unknotting_sequence(i, j, k).steps)
-        # one first step per non-terminal state the chains pass through
+        # one record per state the chains pass through, terminal states
+        # included: the fresh sequence's total, no complaint, and the P
         visited = {state for triple in knot_parameter_triples(10)
-                   for state in unknotting_sequence(*triple).states()
-                   if not state.is_terminal}
-        first_steps = {key: step for key, step in cache.items()
-                       if isinstance(key, IJKState)}
-        assert set(first_steps) == visited
-        assert all(step == next_step(state) for state, step in first_steps.items())
+                   for state in unknotting_sequence(*triple).states()}
+        assert set(cache) == visited
+        for state, record in cache.items():
+            sequence = unknotting_sequence(*state)
+            assert record == (sequence.total_changes, "",
+                              p_invariant(gauss_from_closure(state.braid_word())))
+            # the walk stops at the first state with a record
+            assert _walk(state, {}) == sequence.steps
+            for n, later in enumerate(sequence.states()):
+                assert _walk(state, {later: record}) == sequence.steps[:n]
+
+    def test_a_wrong_total_on_record_fails_the_next_fold(self):
+        # (3,2,0) moves by A, for free, to (2,2,1), whose chain changes one
+        # crossing: a record of 5 there cannot be half of (3,2,0)'s 2
+        cache = {IJKState(2, 2, 1): (5, "", None)}
+        with pytest.raises(ValueError, match="change total 5 is not half of 2"):
+            verify_row(3, 2, 0, cache)
+        assert IJKState(3, 2, 0) not in cache
+
+    def test_the_fold_is_a_loop(self):
+        # (2,601,0) takes 300 Reduce moves down to (2,1,0)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            row = verify_row(2, 601, 0)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert row.passed and row.lower == row.upper == row.formula == 300
 
     def test_the_sweep_makes_each_first_step_once(self, monkeypatch):
         # in theorem-2 order every intermediate state is an earlier row
@@ -357,27 +383,94 @@ class TestFirstStepCache:
         assert made == [IJKState(row.i, row.j, row.k) for row in report.rows
                         if not IJKState(row.i, row.j, row.k).is_terminal]
 
-    def test_a_failing_state_fails_the_same_rows_through_the_cache(self, monkeypatch):
-        flagged = gauss_from_closure(make_ijk(3, 2, 0))
-        real = unknotting.u_and_p
+    @pytest.fixture
+    def flag(self, monkeypatch):
+        """Give the diagrams of the states passed to it a nonzero u."""
+        def flag(*states):
+            flagged = [gauss_from_closure(make_ijk(*state)) for state in states]
+            real = unknotting.u_and_p
 
-        def u_and_p(diagram):
-            u, p = real(diagram)
-            return (IndexPolynomial.from_coefficients({1: 1})
-                    if diagram == flagged else u), p
+            def u_and_p(diagram):
+                u, p = real(diagram)
+                return (IndexPolynomial.from_coefficients({1: 1})
+                        if diagram in flagged else u), p
 
-        monkeypatch.setattr(unknotting, "u_and_p", u_and_p)
+            monkeypatch.setattr(unknotting, "u_and_p", u_and_p)
+        return flag
+
+    @staticmethod
+    def _shuffled_rows(max_i):
+        """verify_row over one cache in a seeded shuffled order, listed in
+        parameter order."""
+        triples = list(knot_parameter_triples(max_i))
+        shuffled = triples.copy()
+        random.Random(20).shuffle(shuffled)
+        cache: dict = {}
+        rows = {triple: verify_row(*triple, cache) for triple in shuffled}
+        return tuple(rows[triple] for triple in triples)
+
+    @staticmethod
+    def _assert_fails_the_rows_through_3_2_0(rows):
         triples = list(knot_parameter_triples(10))
-        shared = verify_theorem2(10).rows
-        fresh = tuple(verify_row(i, j, k) for i, j, k in triples)
-        assert shared == fresh
-        failing = {(row.i, row.j, row.k) for row in shared if not row.passed}
+        assert rows == tuple(verify_row(i, j, k) for i, j, k in triples)
+        failing = {(row.i, row.j, row.k) for row in rows if not row.passed}
         through = {triple for triple in triples
                    if IJKState(3, 2, 0) in unknotting_sequence(*triple).states()}
         assert (3, 2, 0) in failing and len(failing) > 1
         assert failing == through
         assert all(row.detail == "intermediate (3,2,0) has nonzero u"
-                   for row in shared if not row.passed)
+                   for row in rows if not row.passed)
+
+    def test_a_failing_state_fails_the_same_rows_through_the_cache(self, flag):
+        flag((3, 2, 0))
+        self._assert_fails_the_rows_through_3_2_0(verify_theorem2(10).rows)
+
+    def test_a_failing_state_fails_the_same_rows_in_a_shuffled_order(self, flag):
+        flag((3, 2, 0))
+        self._assert_fails_the_rows_through_3_2_0(self._shuffled_rows(10))
+
+    def test_a_row_names_its_first_failing_state_in_chain_order(self, flag):
+        # (3,2,0) moves by A to (2,2,1): rows through both name (3,2,0)
+        flagged = {IJKState(3, 2, 0), IJKState(2, 2, 1)}
+        flag(*flagged)
+        for rows in (verify_theorem2(10).rows, self._shuffled_rows(10)):
+            for row in rows:
+                first = [state for state in unknotting_sequence(row.i, row.j, row.k)
+                         .states() if state in flagged][:1]
+                assert row.detail == "".join(f"intermediate {state} has nonzero u"
+                                             for state in first)
+            assert {row.detail for row in rows} == {
+                "", "intermediate (3,2,0) has nonzero u",
+                "intermediate (2,2,1) has nonzero u"}
+
+
+class TestRowOracle:
+    """verify_row against oracle_verify_row on every knot state with
+    2 <= i <= 9 and 1 <= j <= 3i, Reduce rows included."""
+
+    KNOTS = [state.as_tuple() for state in ALL_STATES
+             if state.i <= 9 and oracle_cycle_count(state.braid_word()) == 1]
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return {triple: oracle_verify_row(*triple) for triple in self.KNOTS}
+
+    def test_the_range_holds_reduce_rows(self):
+        assert len(self.KNOTS) == 306
+        assert sum(j > i for i, j, _ in self.KNOTS) == 204
+
+    def test_rows_with_fresh_caches(self, expected):
+        assert {triple: verify_row(*triple, {}) for triple in self.KNOTS} == expected
+
+    def test_rows_through_one_cache_in_theorem2_order(self, expected):
+        cache: dict = {}
+        assert {triple: verify_row(*triple, cache) for triple in self.KNOTS} == expected
+
+    def test_rows_through_one_cache_in_a_shuffled_order(self, expected):
+        shuffled = self.KNOTS.copy()
+        random.Random(20).shuffle(shuffled)
+        cache: dict = {}
+        assert {triple: verify_row(*triple, cache) for triple in shuffled} == expected
 
 
 class TestOneTracePerState:
@@ -447,3 +540,10 @@ class TestSharedSweep:
         assert sum(len(make_ijk(row.i, row.j, row.k)) for row in report.rows) == 42190
         assert sum(row.k for row in report.rows) == 2782
         assert len(letters) == 4142
+
+    @pytest.mark.parametrize("strands", range(2, 7))
+    def test_the_tail_rotation_equals_the_tail_letter_swaps(self, strands):
+        for occupant in map(list, permutations(range(strands))):
+            for k in range(strands):
+                assert _after_tail(occupant, k) == _occupants(
+                    strands, _block_indices(strands, 0, k), occupant)
