@@ -473,7 +473,7 @@ def _oracle_state_check(i: int, j: int, k: int) -> tuple[int, bool]:
     """Half P's absolute coefficient sum, rounded up, and whether u is
     nonzero, by the brute-force arc sets on the state's ``oracle_trace``."""
     events = oracle_trace(make_ijk(i, j, k))
-    signs = dict((chord, sign) for chord, _, sign in events)
+    signs = {chord: sign for chord, _, sign in events}
     diagram = GaussDiagram(tuple((chord, Role(role)) for chord, role, _ in events),
                            tuple(signs[chord] for chord in range(len(signs))))
     p = brute_p_coefficients(diagram)
