@@ -12,7 +12,6 @@ from .braid import (
     make_vt,
     parse_braid,
     parse_family,
-    permutation,
     virtual,
 )
 from .gauss import (
@@ -23,14 +22,12 @@ from .gauss import (
     emit_gauss_code,
     flip,
     gauss_from_closure,
-    normalize_positive,
     parse_gauss_code,
 )
 from .invariants import (
     IndexPolynomial,
     bound_from_p,
     chord_index,
-    crossing_index,
     p_invariant,
     poly_to_string,
     u_and_p,
@@ -43,11 +40,9 @@ from .search import (
     TableRow,
     default_table_pairs,
     scan_torus_virtualizations,
-    summarize_scan,
     table_to_csv,
     table_vt2,
     torus_word,
-    virtualize_subset,
 )
 from .unknotting import (
     IJKState,

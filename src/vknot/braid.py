@@ -125,9 +125,6 @@ class BraidWord(_Checked, _BraidWord):
     def __str__(self) -> str:
         return self.emit()
 
-    def classical_count(self) -> int:
-        return sum(1 for letter in self.letters if letter.is_classical)
-
     def emit(self) -> str:
         """Canonical text form: single-space-separated tokens."""
         return " ".join(letter.token() for letter in self.letters)
@@ -259,20 +256,14 @@ def _occupants(strands: int, indices: Iterable[int],
     return occupant
 
 
-def _exit_positions(occupant: list[int]) -> list[int]:
-    """0-based exit position of each strand, inverting ``_occupants``."""
-    exit_of = [0] * len(occupant)
-    for position, strand in enumerate(occupant):
-        exit_of[strand] = position
-    return exit_of
-
-
 def _cycles(occupant: list[int]) -> list[list[int]]:
     """The closure's components, one per cycle of the permutation, given
     the word's ``_occupants``.  Each lists its strands in walking order: the
     strand entering where the previous one exits comes next.  The first
     component starts at strand 0."""
-    exit_of = _exit_positions(occupant)
+    exit_of = [0] * len(occupant)  # each strand's 0-based exit position
+    for position, strand in enumerate(occupant):
+        exit_of[strand] = position
     seen = [False] * len(occupant)
     cycles = []
     for start in range(len(occupant)):
@@ -285,16 +276,6 @@ def _cycles(occupant: list[int]) -> list[list[int]]:
             strand = exit_of[strand]
         cycles.append(cycle)
     return cycles
-
-
-def permutation(word: BraidWord) -> tuple[int, ...]:
-    """Right endpoint position of each strand, letters applied left to right.
-
-    Entry m-1 is the 1-based position where the strand entering at position m
-    exits on the right; classical and virtual letters both transpose.
-    """
-    occupant = _occupants(word.strands, (letter.index for letter in word.letters))
-    return tuple(position + 1 for position in _exit_positions(occupant))
 
 
 def component_count(word: BraidWord) -> int:

@@ -150,32 +150,21 @@ def _splice(visits: list[list[tuple[int, Role]]], occupant: list[int],
     return GaussDiagram(tuple(endpoints), tuple(signs))
 
 
-def _flip_chords(diagram: GaussDiagram, chords: set[int]) -> GaussDiagram:
-    """Reverse the arrows and negate the signs of ``chords``."""
-    endpoints = tuple(
-        (c, role.flipped() if c in chords else role)
-        for c, role in diagram.endpoints)
-    signs = tuple(-s if c in chords else s for c, s in enumerate(diagram.signs))
-    return GaussDiagram(endpoints, signs)
-
-
 def flip(diagram: GaussDiagram, chord: int) -> GaussDiagram:
     """Reverse one chord's arrow and negate its sign (one crossing change)."""
     diagram.check_chord(chord)
-    return _flip_chords(diagram, {chord})
-
-
-def normalize_positive(diagram: GaussDiagram) -> GaussDiagram:
-    """Flip exactly the negative chords; the result has all signs +1."""
-    negative = {c for c, s in enumerate(diagram.signs) if s < 0}
-    return _flip_chords(diagram, negative) if negative else diagram
+    endpoints = tuple((c, role.flipped() if c == chord else role)
+                      for c, role in diagram.endpoints)
+    signs = tuple(-s if c == chord else s for c, s in enumerate(diagram.signs))
+    return GaussDiagram(endpoints, signs)
 
 
 def remove_chords(diagram: GaussDiagram, chords: Iterable[int]) -> GaussDiagram:
     """Drop the given chords and re-index the survivors densely."""
-    doomed = set(chords)
-    for chord in doomed:
+    chords = tuple(chords)
+    for chord in chords:  # before the set merges False into 0, or 1.0 into 1
         diagram.check_chord(chord)
+    doomed = set(chords)
     relabel: dict[int, int] = {}
     for chord in range(diagram.n_chords):
         if chord not in doomed:

@@ -251,21 +251,6 @@ def vu_lower_bound(diagram: GaussDiagram) -> int:
     return bound_from_p(p_invariant(diagram))
 
 
-def crossing_index(diagram: GaussDiagram, chord: int) -> int:
-    """Net crossing direction over ``chord`` on an all-positive diagram.
-
-    With the chord's tail T (over endpoint) and head H (under endpoint), a
-    linked chord counts +1 when its tail lies on the open arc T -> H in
-    circle orientation (its head then lies on H -> T) and -1 in the opposite
-    case.  Linked pairs contribute antisymmetrically, so these values always
-    sum to zero over the whole diagram.
-    """
-    if any(s != 1 for s in diagram.signs):
-        raise ValueError("crossing index needs an all-positive diagram; "
-                         "normalize first")
-    return chord_index(diagram, chord)
-
-
 def u_invariant(diagram: GaussDiagram) -> IndexPolynomial:
     """Sum of sign(n(c)) * t^|n(c)| with n(c) = sign(c) * chord_index(c).
 

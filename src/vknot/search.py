@@ -15,7 +15,7 @@ from itertools import chain, combinations, islice, repeat
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .braid import BraidWord, _block_indices, _family_word, make_vt, virtual
+from .braid import BraidWord, _block_indices, _family_word, make_vt
 from .gauss import MultiComponentError, gauss_from_closure
 from .invariants import IndexPolynomial, _invariants_without, p_invariant
 
@@ -33,28 +33,6 @@ def torus_word(p: int, q: int) -> BraidWord:
     if p < 2 or q < 1:
         raise ValueError(f"need p >= 2 and q >= 1, got ({p},{q})")
     return _family_word(p, _block_indices(p, q, 0), 0)
-
-
-def virtualize_subset(p: int, q: int, subset: Iterable[int]) -> BraidWord:
-    """Standard torus braid with the letters at ``subset`` positions virtual.
-
-    Positions index the (p-1)q classical letters in word order from 0.
-    """
-    letters = torus_word(p, q).letters
-    if q < 2:
-        raise ValueError(f"need p >= 2 and q >= 2, got ({p},{q})")
-    chosen: set[int] = set()
-    for position in subset:
-        # bool is an int subclass and 1.0 compares equal to 1; neither names
-        # a position
-        if type(position) is not int:
-            raise ValueError(f"positions must be integers, got {position!r}")
-        if not 0 <= position < len(letters):
-            raise ValueError(
-                f"position {position} out of range for {len(letters)} crossings")
-        chosen.add(position)
-    return BraidWord(p, tuple(virtual(letter.index) if position in chosen else letter
-                              for position, letter in enumerate(letters)))
 
 
 class ScanRecord(NamedTuple):
@@ -178,15 +156,6 @@ class ScanSummary:
     def to_json_dict(self) -> dict:
         first = self.first_nonzero_u
         return {**vars(self), "first_nonzero_u": None if first is None else list(first)}
-
-
-def summarize_scan(records: Iterable[ScanRecord]) -> ScanSummary:
-    """Counts plus whether any knot's u matches REPORTED_U_PATTERN in
-    absolute coefficients."""
-    summary = ScanSummary()
-    for record in records:
-        summary.add(record)
-    return summary
 
 
 class TableRow(NamedTuple):

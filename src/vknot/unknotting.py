@@ -138,11 +138,9 @@ class UnknottingStep(_Checked, _UnknottingStep):
 class _UnknottingSequence(NamedTuple):
     start: IJKState
     steps: tuple[UnknottingStep, ...]
-    total_changes: int
-    op_count: int
 
 
-class UnknottingSequence(_UnknottingSequence):
+class UnknottingSequence(_Checked, _UnknottingSequence):
     """A chained run of steps ending at a terminal (i, 1, 0) state.
 
     ``total_changes`` is forced to equal half the start state's classical
@@ -162,24 +160,17 @@ class UnknottingSequence(_UnknottingSequence):
             state = step.after
         if not state.is_terminal:
             raise ValueError(f"sequence ends at non-terminal state {state}")
-        total = sum(step.changes for step in steps)
-        _check_total(start, total)
-        ops = sum(1 for step in steps if step.kind is not _REDUCE)
-        return tuple.__new__(cls, (start, steps, total, ops))
+        self = tuple.__new__(cls, (start, steps))
+        _check_total(start, self.total_changes)
+        return self
 
-    def __getnewargs__(self) -> tuple:  # copy and pickle pass only the inputs
-        return self[:2]
+    @property
+    def total_changes(self) -> int:
+        return sum(step.changes for step in self.steps)
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> UnknottingSequence:
-        """Rebuild from ``start`` and ``steps``; the totals given with them
-        must be the ones worked out."""
-        values = tuple(iterable)
-        sequence = cls(*values[:2])
-        if values[2:] != sequence[2:]:
-            raise ValueError(f"totals {values[2:]} differ from the worked-out "
-                             f"{sequence[2:]}")
-        return sequence
+    @property
+    def op_count(self) -> int:
+        return sum(1 for step in self.steps if step.kind is not _REDUCE)
 
     def states(self) -> tuple[IJKState, ...]:
         return (self.start,) + tuple(step.after for step in self.steps)

@@ -6,7 +6,8 @@ closure trace both as per-strand event lists spliced along the closure and
 as one walker making a full pass over the word per strand, arc membership
 as literal position sets, the cancelling-pair matcher as an
 all-pairings search, Gauss-code parsing as per-label role and sign sets,
-and the unknotting moves as if-chains.
+the unknotting moves as if-chains, a scan subset's word letter by letter,
+and a scan summary folded one record at a time.
 
 The braid rewrite table is here too, though it checks no package code:
 the invariance tests walk words through its closure-preserving moves.
@@ -21,6 +22,7 @@ from typing import NamedTuple
 
 from vknot.braid import BraidLetter, BraidWord, classical, make_ijk, virtual
 from vknot.gauss import GaussDiagram, MultiComponentError, Role, remove_chords
+from vknot.search import ScanSummary
 from vknot.unknotting import IJKState, StepKind, UnknottingSequence, VerifyRow
 
 
@@ -37,6 +39,22 @@ def oracle_permutation(word: BraidWord) -> tuple[int, ...]:
     for letter in word.letters:
         images = {m: tau(letter.index, image) for m, image in images.items()}
     return tuple(images[m] for m in range(1, word.strands + 1))
+
+
+def oracle_subset_word(p: int, q: int, subset) -> BraidWord:
+    """The (p, q) torus braid (s_1 ... s_{p-1})^q with the letters at the
+    0-based ``subset`` positions virtual."""
+    return BraidWord(p, tuple((virtual if m in subset else classical)(m % (p - 1) + 1)
+                              for m in range((p - 1) * q)))
+
+
+def fold_summary(records) -> ScanSummary:
+    """``ScanSummary.add`` over ``records`` one at a time; the scan command
+    adds each class of equal records once, with its count."""
+    summary = ScanSummary()
+    for record in records:
+        summary.add(record)
+    return summary
 
 
 def oracle_cycle_count(word: BraidWord) -> int:
@@ -320,7 +338,11 @@ def _arc_between(start: int, stop: int, total: int) -> set[int]:
 
 def brute_chord_index(diagram: GaussDiagram, chord: int) -> int:
     """Arc membership with literal sets: over-count minus under-count."""
-    table = _position_table(diagram)
+    return _brute_chord_index(diagram, _position_table(diagram), chord)
+
+
+def _brute_chord_index(diagram: GaussDiagram, table: dict[int, dict[str, int]],
+                       chord: int) -> int:
     total = len(diagram.endpoints)
     gamma1 = _arc_between(table[chord]["O"], table[chord]["U"], total)
     value = 0
@@ -336,7 +358,13 @@ def brute_chord_index(diagram: GaussDiagram, chord: int) -> int:
 
 
 def brute_crossing_index(diagram: GaussDiagram, chord: int) -> int:
-    table = _position_table(diagram)
+    """Tails minus heads of the linked chords on the arc from ``chord``'s
+    tail to its head, on an all-positive diagram."""
+    return _brute_crossing_index(diagram, _position_table(diagram), chord)
+
+
+def _brute_crossing_index(diagram: GaussDiagram, table: dict[int, dict[str, int]],
+                          chord: int) -> int:
     total = len(diagram.endpoints)
     forward = _arc_between(table[chord]["O"], table[chord]["U"], total)
     value = 0
@@ -353,26 +381,33 @@ def brute_crossing_index(diagram: GaussDiagram, chord: int) -> int:
 
 def brute_p_coefficients(diagram: GaussDiagram) -> dict[int, int]:
     """P's coefficients, exponent to coefficient, from brute_chord_index."""
+    table = _position_table(diagram)
     coefficients: dict[int, int] = {}
     for chord in range(diagram.n_chords):
-        value = brute_chord_index(diagram, chord)
+        value = _brute_chord_index(diagram, table, chord)
         if value:
             coefficients[abs(value)] = (coefficients.get(abs(value), 0)
                                         + diagram.signs[chord])
     return {m: b for m, b in coefficients.items() if b}
 
 
-def brute_u_coefficients(diagram: GaussDiagram) -> dict[int, int]:
-    """u's coefficients from brute_crossing_index, after flipping the arrow
-    of every negative chord by hand."""
+def flipped_positive(diagram: GaussDiagram) -> GaussDiagram:
+    """The diagram with every negative chord's arrow reversed by hand and
+    every sign +1."""
     flipped = {"O": Role.UNDER, "U": Role.OVER}
-    positive = GaussDiagram(
+    return GaussDiagram(
         tuple((chord, flipped[role.value] if diagram.signs[chord] < 0 else role)
               for chord, role in diagram.endpoints),
         (1,) * diagram.n_chords)
+
+
+def brute_u_coefficients(diagram: GaussDiagram) -> dict[int, int]:
+    """u's coefficients from brute_crossing_index on ``flipped_positive``."""
+    positive = flipped_positive(diagram)
+    table = _position_table(positive)
     coefficients: dict[int, int] = {}
     for chord in range(positive.n_chords):
-        value = brute_crossing_index(positive, chord)
+        value = _brute_crossing_index(positive, table, chord)
         if value:
             coefficients[abs(value)] = (coefficients.get(abs(value), 0)
                                         + (1 if value > 0 else -1))

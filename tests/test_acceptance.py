@@ -21,7 +21,6 @@ from vknot.gauss import emit_gauss_code, flip, gauss_from_closure
 from vknot.invariants import (
     IndexPolynomial,
     chord_index,
-    crossing_index,
     p_invariant,
     u_invariant,
     vu_lower_bound,
@@ -30,7 +29,6 @@ from vknot.search import (
     REPORTED_U_PATTERN,
     default_table_pairs,
     scan_torus_virtualizations,
-    summarize_scan,
     table_vt2,
 )
 from vknot.unknotting import (
@@ -39,7 +37,7 @@ from vknot.unknotting import (
     verify_theorem2,
 )
 
-from oracles import apply_rewrite, reduce_r1_r2, rewrite_moves
+from oracles import apply_rewrite, fold_summary, reduce_r1_r2, rewrite_moves
 
 TABLE_COLUMN = {
     (3, 2): 0, (4, 3): 1, (5, 2): 0, (5, 3): 2, (5, 4): 4, (6, 5): 7,
@@ -160,11 +158,9 @@ def _family_words(max_size):
 
 
 def _assert_crossing_indices_sum_to_zero(diagram):
-    from vknot.gauss import normalize_positive
-
-    normalized = normalize_positive(diagram)
-    total = sum(crossing_index(normalized, chord)
-                for chord in range(normalized.n_chords))
+    # u's crossing index of chord c is sign(c) * chord_index(c)
+    total = sum(sign * chord_index(diagram, chord)
+                for chord, sign in enumerate(diagram.signs))
     assert total == 0
 
 
@@ -235,7 +231,7 @@ def test_9_scan_finds_non_null_homotopic_knot():
         witness = None
         for p, q in pairs:
             records = list(scan_torus_virtualizations(p, q))
-            summaries[(p, q)] = summarize_scan(records)
+            summaries[(p, q)] = fold_summary(records)
             if witness is None:
                 witness = next((r for r in records if r.has_nonzero_u), None)
         assert witness is not None

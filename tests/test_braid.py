@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from vknot.braid import (
     BraidParseError,
     BraidWord,
+    _occupants,
     classical,
     component_count,
     make_ijk,
     make_vt,
     parse_braid,
     parse_family,
-    permutation,
     virtual,
 )
 from vknot.search import torus_word
@@ -42,8 +42,7 @@ class TestParse:
     def test_vt_braid_part(self):
         word = parse_braid("v1 v2 1 2", strands=3)
         assert word == make_vt(3, 2, 1)
-        assert sum(1 for l in word.letters if l.is_virtual) == 2
-        assert word.classical_count() == 2
+        assert [l.is_virtual for l in word.letters] == [True, True, False, False]
 
     def test_empty_word_with_strands(self):
         word = parse_braid("", strands=2)
@@ -147,7 +146,7 @@ class TestFamilies:
 
     def test_vt_all_virtual(self):
         assert make_vt(3, 2, 2).emit() == "v1 v2 v1 v2"
-        assert make_vt(3, 2, 2).classical_count() == 0
+        assert not any(l.is_classical for l in make_vt(3, 2, 2).letters)
 
     def test_vt_3_2_1(self):
         assert make_vt(3, 2, 1).emit() == "v1 v2 1 2"
@@ -160,7 +159,7 @@ class TestFamilies:
     def test_ijk_3_2_2(self):
         word = make_ijk(3, 2, 2)
         assert word.emit() == "v1 v2 1 2 2 1"
-        assert word.classical_count() == 4 == (3 - 1) * (2 - 1) + 2
+        assert sum(l.is_classical for l in word.letters) == 4 == (3 - 1) * (2 - 1) + 2
 
     @pytest.mark.parametrize("p,q", [(3, 2), (5, 3), (7, 3), (4, 7)])
     def test_ijk_k0_equals_vt_n1(self, p, q):
@@ -169,7 +168,6 @@ class TestFamilies:
     def test_ijk_2_1_0(self):
         word = make_ijk(2, 1, 0)
         assert word.emit() == "v1"
-        assert word.classical_count() == 0
 
     @pytest.mark.parametrize("i,j,k", [(3, 0, 0), (3, 1, 3), (3, 1, -1), (0, 1, 0)])
     def test_ijk_rejects_bad_parameters(self, i, j, k):
@@ -180,7 +178,8 @@ class TestFamilies:
         for i in range(2, 9):
             for j in range(1, i + 1):
                 for k in range(i):
-                    assert make_ijk(i, j, k).classical_count() == (i - 1) * (j - 1) + k
+                    letters = make_ijk(i, j, k).letters
+                    assert sum(l.is_classical for l in letters) == (i - 1) * (j - 1) + k
 
     def test_family_spec_parse_and_build(self):
         assert parse_family("vt:7,3,1") == make_vt(7, 3, 1)
@@ -207,24 +206,36 @@ class TestFamilies:
 
 
 class TestPermutation:
+    """The closure's components are the cycles of the word's permutation,
+    which the oracle composes; its values here are worked by hand."""
+
     def test_empty_is_identity(self):
-        assert permutation(BraidWord(4)) == (1, 2, 3, 4)
+        assert oracle_permutation(BraidWord(4)) == (1, 2, 3, 4)
+        assert component_count(BraidWord(4)) == 4
 
     def test_two_shift_blocks(self):
         # composing the four transpositions by hand gives the forward 3-cycle
-        assert permutation(parse_braid("v1 v2 1 2", 3)) == (2, 3, 1)
+        word = parse_braid("v1 v2 1 2", 3)
+        assert oracle_permutation(word) == (2, 3, 1)
+        assert component_count(word) == 1
 
     def test_single_block_is_cyclic_shift(self):
-        assert permutation(parse_braid("v1 v2", 3)) == (3, 1, 2)
+        word = parse_braid("v1 v2", 3)
+        assert oracle_permutation(word) == (3, 1, 2)
+        assert component_count(word) == 1
 
     def test_excluded_ijk_case_has_two_cycles(self):
         word = make_ijk(4, 3, 1)  # i = k + j
-        assert permutation(word) == (1, 3, 4, 2)
+        assert oracle_permutation(word) == (1, 3, 4, 2)
         assert component_count(word) == 2
 
     @given(braid_words())
     def test_matches_functional_composition_oracle(self, word):
-        assert permutation(word) == oracle_permutation(word)
+        # _occupants gives the strand at each exit position; the oracle
+        # gives each strand's exit position
+        occupant = _occupants(word.strands, [letter.index for letter in word.letters])
+        exits = tuple(occupant.index(strand) + 1 for strand in range(word.strands))
+        assert exits == oracle_permutation(word)
 
 
 class TestComponents:

@@ -15,9 +15,10 @@ import pytest
 from vknot.cli import _BLOCK_LINES, _emit, _scan_lines, main, write_atomic
 from vknot.gauss import MultiComponentError
 from vknot.invariants import IndexPolynomial, _u_and_p
-from vknot.search import (ScanRecord, _scan_subsets, scan_torus_virtualizations,
-                          summarize_scan)
+from vknot.search import ScanRecord, _scan_subsets, scan_torus_virtualizations
 from vknot.unknotting import IJKState, NotAKnotError
+
+from oracles import fold_summary
 
 
 def _with_texts(records):
@@ -460,7 +461,7 @@ def _encoded(records, nonzero_u=False):
     """The scan's stdout built record by record with json.dumps."""
     lines = [json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
              for record in records if not nonzero_u or record.has_nonzero_u]
-    summary = summarize_scan(records).to_json_dict()
+    summary = fold_summary(records).to_json_dict()
     return lines + [json.dumps({"summary": summary}, sort_keys=True) + "\n"]
 
 

@@ -11,13 +11,11 @@ from vknot.gauss import (
     GaussDiagram,
     flip,
     gauss_from_closure,
-    normalize_positive,
     parse_gauss_code,
 )
 from vknot.invariants import (
     IndexPolynomial,
     chord_index,
-    crossing_index,
     p_invariant,
     poly_to_string,
     u_and_p,
@@ -26,7 +24,8 @@ from vknot.invariants import (
 )
 
 from oracles import (brute_chord_index, brute_crossing_index, brute_p_coefficients,
-                     brute_u_coefficients, rotate)
+                     brute_u_coefficients, flipped_positive, oracle_subset_word,
+                     rotate)
 from strategies import gauss_diagrams
 
 
@@ -148,28 +147,30 @@ class TestLowerBound:
         assert vu_lower_bound(diagram) == 1
 
 
+def crossing_indices(diagram):
+    """u's crossing index n(c) = sign(c) * chord_index(c) of every chord."""
+    return [sign * chord_index(diagram, chord)
+            for chord, sign in enumerate(diagram.signs)]
+
+
 class TestCrossingIndex:
     def test_worked_example_antisymmetry(self):
-        diagram = normalize_positive(gauss_from_closure(make_vt(3, 2, 1)))
-        assert crossing_index(diagram, 0) == 1
-        assert crossing_index(diagram, 1) == -1
+        diagram = gauss_from_closure(make_vt(3, 2, 1))
+        assert crossing_indices(diagram) == [1, -1]
+        assert [brute_crossing_index(diagram, c) for c in (0, 1)] == [1, -1]
 
     def test_unlinked_chord_is_zero(self):
         nested = parse_gauss_code("O1+ O2+ U2+ U1+")
-        assert crossing_index(nested, 0) == 0
-
-    def test_requires_all_positive(self):
-        diagram = parse_gauss_code("O1+ U2- O2- U1+")
-        with pytest.raises(ValueError):
-            crossing_index(diagram, 0)
+        assert crossing_indices(nested)[0] == brute_crossing_index(nested, 0) == 0
 
     @given(gauss_diagrams())
     def test_total_is_zero_and_matches_oracle(self, diagram):
-        normalized = normalize_positive(diagram)
-        values = [crossing_index(normalized, c) for c in range(normalized.n_chords)]
+        # the oracle reads the crossing index off the hand-flipped diagram
+        values = crossing_indices(diagram)
         assert sum(values) == 0
+        positive = flipped_positive(diagram)
         for chord, value in enumerate(values):
-            assert value == brute_crossing_index(normalized, chord)
+            assert value == brute_crossing_index(positive, chord)
 
 
 class TestUInvariant:
@@ -201,10 +202,7 @@ class TestUInvariant:
     def test_matches_brute_force_on_the_normalized_diagram(self, diagram):
         # u reads P's arc sums: its crossing index is sign(c) * i(c)
         assert u_invariant(diagram) == poly(brute_u_coefficients(diagram))
-        normalized = normalize_positive(diagram)
-        for chord in range(diagram.n_chords):
-            assert (crossing_index(normalized, chord)
-                    == diagram.signs[chord] * chord_index(diagram, chord))
+        assert crossing_indices(flipped_positive(diagram)) == crossing_indices(diagram)
 
     @given(gauss_diagrams())
     def test_basepoint_rotation_invariance(self, diagram):
@@ -215,9 +213,7 @@ class TestUInvariant:
     def test_nonzero_example_from_scan(self):
         # virtualizing crossings {0, 1, 4} of the (3,4) torus braid leaves a
         # knot that no crossing changes can undo
-        from vknot.search import virtualize_subset
-        word = virtualize_subset(3, 4, (0, 1, 4))
-        diagram = gauss_from_closure(word)
+        diagram = gauss_from_closure(oracle_subset_word(3, 4, (0, 1, 4)))
         value = u_invariant(diagram)
         assert value == poly({2: -1, 1: 2})
         assert value.abs_coefficients() == {2: 1, 1: 2}
@@ -263,6 +259,4 @@ def test_polynomials_match_brute_force_at_scale(word):
     assert sum(o > u for o, u in zip(over, under)) >= 100
     assert p_invariant(diagram) == poly(brute_p_coefficients(diagram))
     assert u_invariant(diagram) == poly(brute_u_coefficients(diagram))
-    normalized = normalize_positive(diagram)
-    assert sum(crossing_index(normalized, chord)
-               for chord in range(normalized.n_chords)) == 0
+    assert sum(crossing_indices(diagram)) == 0

@@ -18,13 +18,12 @@ from vknot.search import (
     ScanRecord,
     default_table_pairs,
     scan_torus_virtualizations,
-    summarize_scan,
     table_to_csv,
     table_vt2,
     torus_word,
-    virtualize_subset,
 )
 
+from oracles import fold_summary, oracle_subset_word
 from strategies import gauss_diagrams
 
 TABLE_VALUES = {
@@ -35,33 +34,38 @@ TABLE_VALUES = {
 
 
 class TestVirtualizeSubset:
+    """A subset's word, built by the oracle, and the torus diagram without
+    the subset's chords, which the scan reads in its place."""
+
     def test_block_prefixes_recover_the_vt_family(self):
         for p, q in [(3, 2), (4, 3), (5, 4)]:
             for n in range(1, q + 1):
                 subset = range(n * (p - 1))
-                assert virtualize_subset(p, q, subset) == make_vt(p, q, n)
+                assert oracle_subset_word(p, q, subset) == make_vt(p, q, n)
 
     def test_empty_subset_is_the_classical_braid(self):
-        assert virtualize_subset(4, 3, ()) == torus_word(4, 3)
+        assert oracle_subset_word(4, 3, ()) == torus_word(4, 3)
 
     def test_full_subset_erases_every_crossing(self):
-        word = virtualize_subset(3, 2, range(4))
-        assert word.classical_count() == 0
-        assert gauss_from_closure(word).n_chords == 0
+        word = oracle_subset_word(3, 2, range(4))
+        assert gauss_from_closure(word) == GaussDiagram((), ())
+        base = gauss_from_closure(torus_word(3, 2))
+        assert remove_chords(base, range(4)) == GaussDiagram((), ())
 
     def test_position_out_of_range(self):
-        with pytest.raises(ValueError):
-            virtualize_subset(3, 2, (4,))
+        with pytest.raises(ValueError, match="invalid chord reference 4"):
+            remove_chords(gauss_from_closure(torus_word(3, 2)), (4,))
 
     def test_rejects_small_parameters(self):
-        with pytest.raises(ValueError):
-            virtualize_subset(2, 1, ())
+        with pytest.raises(ValueError, match=r"need p >= 2 and q >= 2, got \(2,1\)"):
+            list(scan_torus_virtualizations(2, 1))
 
     @pytest.mark.parametrize("position", [1.0, True, False, "1", None])
     def test_rejects_non_integer_positions(self, position):
-        # 1.0 and True compare equal to position 1 but do not name it
-        with pytest.raises(ValueError, match="positions must be integers"):
-            virtualize_subset(3, 2, (0, position))
+        # 1.0 and True compare equal to chord 1 but do not name it
+        base = gauss_from_closure(torus_word(3, 2))
+        with pytest.raises(ValueError, match="invalid chord reference"):
+            remove_chords(base, (0, position))
 
 
 class TestScan:
@@ -75,7 +79,7 @@ class TestScan:
             if record.subset in vt_patterns:
                 assert record.u.is_zero
         # this diagram is too small to carry a nonzero u
-        assert summarize_scan(records).nonzero_u == 0
+        assert fold_summary(records).nonzero_u == 0
 
     def test_classical_subset_has_zero_invariants(self):
         record = next(iter(scan_torus_virtualizations(3, 2)))
@@ -124,7 +128,7 @@ class TestScan:
 
     def test_nonzero_u_discovery_on_3_4(self):
         records = list(scan_torus_virtualizations(3, 4))
-        summary = summarize_scan(records)
+        summary = fold_summary(records)
         assert summary.subsets == 256
         assert summary.knots == 256
         assert summary.nonzero_u == 48
@@ -137,7 +141,7 @@ class TestScan:
         # the scan traces the torus braid once and deletes chords; here
         # every subset's word is built and traced on its own
         for record in scan_torus_virtualizations(p, q):
-            word = virtualize_subset(p, q, record.subset)
+            word = oracle_subset_word(p, q, record.subset)
             try:
                 diagram = gauss_from_closure(word)
             except MultiComponentError as error:
@@ -157,7 +161,7 @@ class TestScan:
                    for _ in range(200)]
         base = gauss_from_closure(torus_word(p, q))
         for subset, u_and_p in _invariants_without(base, subsets):
-            diagram = gauss_from_closure(virtualize_subset(p, q, subset))
+            diagram = gauss_from_closure(oracle_subset_word(p, q, subset))
             assert u_and_p == (u_invariant(diagram), p_invariant(diagram))
 
     def test_polynomials_are_shared_per_memo_entry(self):
@@ -172,7 +176,7 @@ class TestScan:
         assert len(polynomials) == len(set(polynomials.values()))
 
     def test_summary_json_shape(self):
-        summary = summarize_scan(scan_torus_virtualizations(3, 2))
+        summary = fold_summary(scan_torus_virtualizations(3, 2))
         assert summary.to_json_dict() == {
             "subsets": 16, "knots": 16, "nonzero_u": 0,
             "pattern_attained": False, "first_nonzero_u": None,

@@ -1,14 +1,17 @@
-"""The value types' contract: repr, immutability, hashing, validation, and
-a command-line start-up that never imports ``dataclasses``."""
+"""The value types' contract: repr, immutability, hashing, validation; the
+package's public names; and a command-line start-up that never imports
+``dataclasses``."""
 
 import copy
 import os
 import pickle
 import subprocess
 import sys
+import types
 
 import pytest
 
+import vknot
 from vknot.braid import (BraidLetter, BraidWord, LetterKind, classical, make_ijk,
                          make_vt, parse_braid, parse_family, virtual)
 from vknot.gauss import GaussDiagram, Role, gauss_from_closure
@@ -19,7 +22,8 @@ from vknot.unknotting import (IJKState, StepKind, UnknottingSequence, Unknotting
                               unknotting_sequence, verify_row, verify_theorem2)
 
 # One sample of each public value type, built fresh on every call, and its
-# repr as the earlier dataclass-based types printed it.
+# repr as the earlier dataclass-based types printed it.  UnknottingSequence
+# stores only its inputs, so its repr leaves out the two totals.
 SAMPLES = {
     "BraidLetter": (
         lambda: BraidLetter(LetterKind.VIRTUAL, 2),
@@ -53,7 +57,7 @@ SAMPLES = {
         "kind=<StepKind.A: 'A'>, before=IJKState(i=3, j=2, k=0), after=IJKState("
         "i=2, j=2, k=1), changes=0), UnknottingStep(kind=<StepKind.C: 'C'>, "
         "before=IJKState(i=2, j=2, k=1), after=IJKState(i=2, j=1, k=0), "
-        "changes=1)), total_changes=1, op_count=2)"),
+        "changes=1)))"),
     "VerifyRow": (
         lambda: verify_row(3, 2, 0),
         "VerifyRow(i=3, j=2, k=0, lower=1, upper=1, formula=1, passed=True, "
@@ -143,7 +147,7 @@ REPLACEMENTS = {
                        lambda: next_step(IJKState(4, 2, 0)), dict(changes=99)),
     "UnknottingSequence": (dict(steps=list(unknotting_sequence(3, 2, 0).steps)),
                            lambda: unknotting_sequence(3, 2, 0),
-                           dict(total_changes=99)),
+                           dict(steps=())),
 }
 
 
@@ -266,6 +270,28 @@ class TestScanSummary:
         assert summary == ScanSummary(subsets=1)
         with pytest.raises(TypeError):
             hash(summary)
+
+
+# Every public name of the package, sorted; adding or removing one means
+# editing this list.
+PUBLIC_NAMES = """
+    BraidLetter BraidParseError BraidWord GaussCodeError GaussDiagram IJKState
+    IndexPolynomial LetterKind MultiComponentError NotAKnotError Role ScanRecord
+    ScanSummary StepKind TableRow TerminalStateError UnknottingSequence
+    UnknottingStep VerifyReport VerifyRow bound_from_p chord_index classical
+    component_count default_table_pairs emit_gauss_code flip gauss_from_closure
+    knot_parameter_triples make_ijk make_vt next_step p_invariant parse_braid
+    parse_family parse_gauss_code poly_to_string scan_torus_virtualizations
+    table_to_csv table_vt2 torus_word u_and_p u_invariant unknotting_sequence
+    verify_row verify_theorem2 virtual vu_lower_bound
+""".split()
+
+
+def test_public_names_are_pinned():
+    names = sorted(name for name, value in vars(vknot).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
 
 
 def test_command_line_start_up_imports_no_dataclasses():
