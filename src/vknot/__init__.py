@@ -29,7 +29,6 @@ from .invariants import (
     bound_from_p,
     chord_index,
     p_invariant,
-    poly_to_string,
     u_and_p,
     u_invariant,
     vu_lower_bound,
@@ -53,7 +52,6 @@ from .unknotting import (
     UnknottingStep,
     VerifyReport,
     VerifyRow,
-    knot_parameter_triples,
     next_step,
     unknotting_sequence,
     verify_row,

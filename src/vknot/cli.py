@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .braid import BraidParseError, BraidWord, parse_braid, parse_family
 from .gauss import MultiComponentError, emit_gauss_code, gauss_from_closure
-from .invariants import bound_from_p, poly_to_string, u_and_p
+from .invariants import bound_from_p, u_and_p
 from .search import (ScanRecord, ScanSummary, _scan_subsets, default_table_pairs,
                      scan_torus_virtualizations, table_to_csv, table_vt2)
 from .unknotting import (NotAKnotError, unknotting_sequence, verify_row,
@@ -121,10 +121,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         return 0
     labels = {"p": "P", "u": "u", "bound": "bound", "gauss_code": "gauss"}
     for name in selected:
-        value = values[name]
-        if name in ("p", "u"):
-            value = poly_to_string(value)
-        print(f"{labels[name]} = {value}")
+        print(f"{labels[name]} = {values[name]}")
     return 0
 
 

@@ -81,27 +81,23 @@ class IndexPolynomial(_Checked, _IndexPolynomial):
         return sum(abs(b) for _, b in self.terms)
 
     def __str__(self) -> str:
-        return poly_to_string(self)
+        """Descending exponents, e.g. "t^2 - 2t", "2t", "0"."""
+        if self.is_zero:
+            return "0"
+        parts = []
+        for position, (exponent, coefficient) in enumerate(self.terms):
+            magnitude = abs(coefficient)
+            body = "t" if exponent == 1 else f"t^{exponent}"
+            if magnitude != 1:
+                body = f"{magnitude}{body}"
+            if position == 0:
+                parts.append(body if coefficient > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if coefficient > 0 else f"- {body}")
+        return " ".join(parts)
 
     def to_json_dict(self) -> dict:
         return {"terms": [{"exp": m, "coef": b} for m, b in self.terms]}
-
-
-def poly_to_string(poly: IndexPolynomial) -> str:
-    """Render with descending exponents, e.g. "t^2 - 2t", "2t", "0"."""
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for position, (exponent, coefficient) in enumerate(poly.terms):
-        magnitude = abs(coefficient)
-        body = "t" if exponent == 1 else f"t^{exponent}"
-        if magnitude != 1:
-            body = f"{magnitude}{body}"
-        if position == 0:
-            parts.append(body if coefficient > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coefficient > 0 else f"- {body}")
-    return " ".join(parts)
 
 
 def _endpoint_weights(diagram: GaussDiagram) -> list[int]:

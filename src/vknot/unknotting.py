@@ -22,12 +22,12 @@ lower bound with equality across a whole parameter range.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .braid import BraidWord, _Checked, _cycles, component_count, make_ijk
 from .gauss import (GaussDiagram, MultiComponentError, _splice, _sweep,
                     gauss_from_closure)
-from .invariants import IndexPolynomial, bound_from_p, u_and_p
+from .invariants import bound_from_p, u_and_p
 
 
 class StepKind(Enum):
@@ -229,39 +229,6 @@ def unknotting_sequence(i: int, j: int, k: int) -> UnknottingSequence:
     return UnknottingSequence(start, _walk(start, {}))
 
 
-def knot_parameter_triples(max_i: int) -> Iterator[tuple[int, int, int]]:
-    """One-component (i, j, k) with 2 <= i <= max_i, 1 <= j <= i, 0 <= k < i."""
-    _check_max_i(max_i)
-    return (triple for triple, _, _ in _knot_traces(max_i))
-
-
-def _check_max_i(max_i: int) -> None:
-    if type(max_i) is not int:
-        raise ValueError(f"max_i must be an integer, got {max_i!r}")
-    if max_i < 2:
-        raise ValueError(f"max_i must be >= 2, got {max_i}")
-
-
-def _knot_traces(max_i: int) -> Iterator[tuple[tuple[int, int, int], tuple, tuple]]:
-    """Each triple of knot_parameter_triples, in order, with the closure
-    trace ``(visits, occupant, signs)`` of make_ijk(i, j, 0) and the letters
-    of its k-letter tail.
-
-    Each i's blocks are swept once, the j-th as j reaches it, so the trace
-    is shared by every k of one (i, j) and then extended in place: a caller
-    that extends it works on a copy.
-    """
-    for i in range(2, max_i + 1):
-        letters = make_ijk(i, i, i - 1).letters
-        blocks, tails = letters[:i * (i - 1)], letters[i * (i - 1):]
-        visits, occupant, signs = [[] for _ in range(i)], list(range(i)), []
-        for j in range(1, i + 1):
-            _sweep(blocks[(j - 1) * (i - 1):j * (i - 1)], visits, occupant, signs)
-            for k in range(i):
-                if len(_cycles(_after_tail(occupant, k))) == 1:
-                    yield (i, j, k), (visits, occupant, signs), tails[i - 1 - k:]
-
-
 def _after_tail(occupant: list[int], k: int) -> list[int]:
     """``occupant`` after the tail s_k ... s_1: the strand at position k
     moves to position 0 and positions 0 ... k-1 shift up by one."""
@@ -306,31 +273,21 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _state_check(state: IJKState,
-                 diagram: GaussDiagram | None = None) -> tuple[str, IndexPolynomial | None]:
-    """The state's complaint, empty when it is a knot with zero u, and its
-    P, None for a link; from ``diagram`` when given and else from the
-    state's traced word."""
-    try:
-        u, p = u_and_p(gauss_from_closure(state.braid_word())
-                       if diagram is None else diagram)
-    except MultiComponentError as error:
-        return f"intermediate {state} has {error.components} components", None
-    return "" if u.is_zero else f"intermediate {state} has nonzero u", p
-
-
 def _chain_record(start: IJKState, cache: dict, diagram: GaussDiagram | None = None
-                  ) -> tuple[int, str, IndexPolynomial | None]:
+                  ) -> tuple[int, str, int | None]:
     """``start``'s record: the change total of its move chain, the chain's
-    first complaint in chain order, and ``start``'s P.
+    first complaint in chain order, and ``start``'s lower bound, None for a
+    link.
 
     Walks down to the first state with a record in ``cache``, or to the
     terminal state, whose record starts from a zero total; then folds back
     up one move at a time, each state adding its move's cost to the next
     state's total and its own complaint, if any, before the next state's.
-    Each folded total must be half the state's crossing count, as for an
+    A state's complaint is a link or a nonzero u, both read from its
+    traced closure: ``diagram`` for ``start`` when given.  Each folded
+    total must be half the state's crossing count, as for an
     UnknottingSequence, and each state's record is kept in ``cache`` under
-    the state.  ``diagram``, when given, is ``start``'s traced closure.
+    the state.
     """
     steps = _walk(start, cache)
     bottom = steps[-1].after if steps else start
@@ -341,59 +298,80 @@ def _chain_record(start: IJKState, cache: dict, diagram: GaussDiagram | None = N
         total, complaint = 0, ""
         moves.append((bottom, 0))
     for state, changes in reversed(moves):
-        message, p = _state_check(state, diagram if state is start else None)
+        try:
+            u, p = u_and_p(gauss_from_closure(state.braid_word())
+                           if state is not start or diagram is None else diagram)
+            message = "" if u.is_zero else f"intermediate {state} has nonzero u"
+            lower = bound_from_p(p)
+        except MultiComponentError as error:
+            message = f"intermediate {state} has {error.components} components"
+            lower = None
         total += changes
         _check_total(state, total)
         complaint = message or complaint
-        cache[state] = (total, complaint, p)
+        cache[state] = (total, complaint, lower)
     return cache[start]
 
 
-def verify_row(i: int, j: int, k: int, cache: dict | None = None) -> VerifyRow:
-    """Cross-check one knot state: invariant lower bound, explicit sequence
-    cost, and the closed formula must agree, and every intermediate state
-    must stay a knot with vanishing u.
-
-    ``cache``, when shared across rows, keeps each state's record (its
-    chain's change total, the chain's first complaint and its P) keyed by
-    the state, so a row's chain is followed only down to the first state
-    already on record.  A link start raises NotAKnotError from the walk,
-    as no move can bring a link to the terminal unknot.
-    """
-    state = IJKState(i, j, k)
+def _row(state: IJKState, record: tuple[int, str, int | None]) -> VerifyRow:
+    """The row of a knot state from its chain record: the record's bound,
+    its chain's total and the closed formula must agree, and the chain
+    must have no complaint."""
+    upper, complaint, lower = record
     # a knot's permutation is one i-cycle, a product of i-1 transpositions,
     # so its (i-1)j + k letters have i-1's parity and its crossing count
     # (i-1)(j-1) + k is even; _chain_record would raise on an odd one
     formula = state.crossing_count() // 2
-    upper, complaint, p = _chain_record(state, {} if cache is None else cache)
-    lower = bound_from_p(p)
     problems: list[str] = []
     if not lower == upper == formula:
         problems.append(
             f"bounds disagree: lower={lower} upper={upper} formula={formula}")
     if complaint:
         problems.append(complaint)
-    return VerifyRow(i, j, k, lower, upper, formula, not problems,
+    return VerifyRow(*state, lower, upper, formula, not problems,
                      "; ".join(problems))
 
 
-def verify_theorem2(max_i: int) -> VerifyReport:
-    """Run verify_row over every knot state with i up to ``max_i``, in
-    parameter order, sharing one state cache across the rows.
+def verify_row(i: int, j: int, k: int) -> VerifyRow:
+    """Cross-check one knot state: invariant lower bound, explicit sequence
+    cost, and the closed formula must agree, and every intermediate state
+    must stay a knot with vanishing u.  A link start raises NotAKnotError
+    from the walk, as no move can bring a link to the terminal unknot.
+    """
+    state = IJKState(i, j, k)
+    return _row(state, _chain_record(state, {}))
 
-    Each row's diagram is its (i, j) blocks' shared trace, copied and
-    extended by its own tail, and is checked as the row's chain record is
-    folded, before verify_row reads the record from the cache.  Every later
+
+def verify_theorem2(max_i: int) -> VerifyReport:
+    """The row of every one-component (i, j, k) with 2 <= i <= ``max_i``,
+    1 <= j <= i and 0 <= k < i, in parameter order, each folded once
+    through one shared cache of chain records.
+
+    Rows with the same i share the virtual block and every ascending
+    block, so each i's blocks are swept once, the j-th as j reaches it.
+    Each row copies that trace, sweeps its own k-letter tail and splices
+    its diagram, which is checked as its record is folded.  Every later
     state of a row's chain is an earlier row, so no word is traced whole
     and each row makes one move.
     """
-    _check_max_i(max_i)
+    if type(max_i) is not int:
+        raise ValueError(f"max_i must be an integer, got {max_i!r}")
+    if max_i < 2:
+        raise ValueError(f"max_i must be >= 2, got {max_i}")
     cache: dict = {}
     rows = []
-    for (i, j, k), (visits, occupant, signs), tail in _knot_traces(max_i):
-        visits = [strand.copy() for strand in visits]
-        occupant, signs = occupant.copy(), signs.copy()
-        _sweep(tail, visits, occupant, signs)
-        _chain_record(IJKState(i, j, k), cache, _splice(visits, occupant, signs))
-        rows.append(verify_row(i, j, k, cache))
+    for i in range(2, max_i + 1):
+        letters = make_ijk(i, i, i - 1).letters
+        blocks, tails = letters[:i * (i - 1)], letters[i * (i - 1):]
+        visits, occupant, signs = [[] for _ in range(i)], list(range(i)), []
+        for j in range(1, i + 1):
+            _sweep(blocks[(j - 1) * (i - 1):j * (i - 1)], visits, occupant, signs)
+            for k in range(i):
+                if len(_cycles(_after_tail(occupant, k))) != 1:
+                    continue
+                trace = ([strand.copy() for strand in visits], occupant.copy(),
+                         signs.copy())
+                _sweep(tails[i - 1 - k:], *trace)
+                state = IJKState(i, j, k)
+                rows.append(_row(state, _chain_record(state, cache, _splice(*trace))))
     return VerifyReport(max_i, tuple(rows))

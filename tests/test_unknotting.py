@@ -5,13 +5,15 @@ import random
 import sys
 from collections import Counter
 from itertools import permutations
+from math import gcd
 
 import pytest
 
-from vknot.braid import _block_indices, _occupants, component_count, make_ijk
+from vknot.braid import _block_indices, _occupants, component_count, make_ijk, make_vt
 from vknot.gauss import MultiComponentError, gauss_from_closure
 from vknot import gauss, unknotting
-from vknot.invariants import IndexPolynomial, p_invariant, u_invariant
+from vknot.invariants import (IndexPolynomial, bound_from_p, p_invariant, u_and_p,
+                              u_invariant)
 from vknot.unknotting import (
     IJKState,
     NotAKnotError,
@@ -20,16 +22,18 @@ from vknot.unknotting import (
     UnknottingSequence,
     UnknottingStep,
     _after_tail,
+    _chain_record,
+    _row,
     _walk,
-    knot_parameter_triples,
     next_step,
     unknotting_sequence,
     verify_row,
     verify_theorem2,
 )
 
-from oracles import (oracle_cycle_count, oracle_first_move, oracle_move_rule,
-                     oracle_verify_row, replay_sequence)
+from oracles import (oracle_cycle_count, oracle_first_move, oracle_knot_states,
+                     oracle_move_rule, oracle_torus_p, oracle_verify_row,
+                     replay_sequence)
 
 # Every state with i <= 10, 1 <= j <= 3i and 0 <= k < i: knots, links,
 # terminal states and repeated full twists.
@@ -39,17 +43,28 @@ ALL_STATES = [IJKState(i, j, k) for i in range(2, 11)
 
 @pytest.fixture
 def handed(monkeypatch):
-    """(state, diagram) for each diagram handed to _state_check."""
+    """(state, diagram) for each diagram handed to _chain_record."""
     pairs = []
-    real = unknotting._state_check
+    real = unknotting._chain_record
 
-    def check(state, diagram=None):
+    def chain_record(start, cache, diagram=None):
         if diagram is not None:
-            pairs.append((state, diagram))
-        return real(state, diagram)
+            pairs.append((start, diagram))
+        return real(start, cache, diagram)
 
-    monkeypatch.setattr(unknotting, "_state_check", check)
+    monkeypatch.setattr(unknotting, "_chain_record", chain_record)
     return pairs
+
+
+def _shared_rows(triples):
+    """Each triple's row, its chain record folded through one cache shared
+    in the order given."""
+    cache: dict = {}
+    rows = {}
+    for triple in triples:
+        state = IJKState(*triple)
+        rows[triple] = _row(state, _chain_record(state, cache))
+    return rows
 
 
 def _valid_state(i, j, k):
@@ -69,32 +84,19 @@ class TestState:
         assert IJKState(3, 2, 2).braid_word() == make_ijk(3, 2, 2)
 
 
-def _knot_states(max_i):
-    """Every one-component (i, j, k) with 2 <= i <= max_i and j <= 2i + 1,
-    from the permutation's shape: j ascending blocks take 0-based position
-    p to p - j mod i, and the tail s_k ... s_1 takes k to 0 and each p < k
-    to p + 1.  One component means the cycle through 0 has length i."""
-    for i in range(2, max_i + 1):
-        for j in range(1, 2 * i + 2):
-            for k in range(i):
-                image = [(p - j) % i for p in range(i)]
-                image = [0 if p == k else p + (p < k) for p in image]
-                position, length = image[0], 1
-                while position:
-                    position, length = image[position], length + 1
-                if length == i:
-                    yield (i, j, k)
-
-
 def test_knot_states_have_even_crossing_counts():
-    # verify_row leans on this: a knot's permutation is one i-cycle
-    knots = list(_knot_states(40))
-    assert [state for state in knots if state[1] <= state[0]] == \
-        list(knot_parameter_triples(40))
+    # verify_row leans on this: a knot's permutation is one i-cycle, and a
+    # full twist (j -> j + i) keeps the permutation and adds i(i-1) crossings
+    knots = list(oracle_knot_states(40))
+    assert [state for state in knots if state[0] <= 16] == [
+        (row.i, row.j, row.k) for row in verify_theorem2(16).rows]
     assert [state for state in knots if state[0] <= 6] == [
-        (i, j, k) for i in range(2, 7) for j in range(1, 2 * i + 2) for k in range(i)
+        (i, j, k) for i in range(2, 7) for j in range(1, i + 1) for k in range(i)
         if oracle_cycle_count(make_ijk(i, j, k)) == 1]
-    assert all(IJKState(*state).crossing_count() % 2 == 0 for state in knots)
+    assert all(oracle_cycle_count(make_ijk(i, j + i, k)) == 1
+               for i, j, k in knots if i <= 6)
+    assert all(IJKState(i, j + twists * i, k).crossing_count() % 2 == 0
+               for i, j, k in knots for twists in (0, 1))
 
 
 class TestNextStep:
@@ -241,13 +243,13 @@ class TestSequence:
         assert sequence.op_count == 2
 
     def test_totals_match_half_crossings(self):
-        for i, j, k in knot_parameter_triples(9):
+        for i, j, k in oracle_knot_states(9):
             sequence = unknotting_sequence(i, j, k)
             assert sequence.total_changes == ((i - 1) * (j - 1) + k) // 2
             replay_sequence(sequence)
 
     def test_monotone_termination_witness(self):
-        for i, j, k in knot_parameter_triples(9):
+        for i, j, k in oracle_knot_states(9):
             for step in unknotting_sequence(i, j, k).steps:
                 if step.kind is StepKind.REDUCE:
                     assert step.after.j < step.before.j
@@ -258,14 +260,14 @@ class TestSequence:
     def test_per_step_conservation(self):
         # A preserves the half-crossing budget; B, C, Reduce spend exactly
         # their change count
-        for i, j, k in knot_parameter_triples(9):
+        for i, j, k in oracle_knot_states(9):
             for step in unknotting_sequence(i, j, k).steps:
                 before = step.before.crossing_count() / 2
                 after = step.after.crossing_count() / 2
                 assert before - after == step.changes
 
     def test_intermediate_states_stay_knots_with_zero_u(self):
-        for i, j, k in knot_parameter_triples(6):
+        for i, j, k in oracle_knot_states(6):
             for state in unknotting_sequence(i, j, k).states():
                 word = state.braid_word()
                 assert component_count(word) == 1
@@ -335,21 +337,23 @@ class TestFirstStepCache:
     @pytest.mark.parametrize("max_i", [2, 3, 6, 10])
     def test_sweep_rows_equal_rows_with_fresh_caches(self, max_i):
         assert verify_theorem2(max_i).rows == tuple(
-            verify_row(i, j, k, {}) for i, j, k in knot_parameter_triples(max_i))
+            verify_row(i, j, k) for i, j, k in oracle_knot_states(max_i))
 
     def test_chains_through_the_shared_cache_equal_fresh_sequences(self):
         cache: dict = {}
-        for i, j, k in knot_parameter_triples(10):
-            verify_row(i, j, k, cache)
+        for triple in oracle_knot_states(10):
+            _chain_record(IJKState(*triple), cache)
         # one record per state the chains pass through, terminal states
-        # included: the fresh sequence's total, no complaint, and the P
-        visited = {state for triple in knot_parameter_triples(10)
+        # included: the fresh sequence's total, no complaint, and the bound
+        # of the traced P, never the polynomial itself
+        visited = {state for triple in oracle_knot_states(10)
                    for state in unknotting_sequence(*triple).states()}
         assert set(cache) == visited
         for state, record in cache.items():
             sequence = unknotting_sequence(*state)
-            assert record == (sequence.total_changes, "",
-                              p_invariant(gauss_from_closure(state.braid_word())))
+            p = p_invariant(gauss_from_closure(state.braid_word()))
+            assert record == (sequence.total_changes, "", bound_from_p(p))
+            assert [type(field) for field in record] == [int, str, int]
             # the walk stops at the first state with a record
             assert _walk(state, {}) == sequence.steps
             for n, later in enumerate(sequence.states()):
@@ -358,9 +362,9 @@ class TestFirstStepCache:
     def test_a_wrong_total_on_record_fails_the_next_fold(self):
         # (3,2,0) moves by A, for free, to (2,2,1), whose chain changes one
         # crossing: a record of 5 there cannot be half of (3,2,0)'s 2
-        cache = {IJKState(2, 2, 1): (5, "", None)}
+        cache = {IJKState(2, 2, 1): (5, "", 1)}
         with pytest.raises(ValueError, match="change total 5 is not half of 2"):
-            verify_row(3, 2, 0, cache)
+            _chain_record(IJKState(3, 2, 0), cache)
         assert IJKState(3, 2, 0) not in cache
 
     def test_the_fold_is_a_loop(self):
@@ -372,6 +376,23 @@ class TestFirstStepCache:
         finally:
             sys.setrecursionlimit(limit)
         assert row.passed and row.lower == row.upper == row.formula == 300
+
+    def test_the_sweep_folds_each_row_once(self, monkeypatch):
+        # each row is built from the one record its own fold returns
+        folded = []
+        real = unknotting._chain_record
+
+        def chain_record(start, cache, diagram=None):
+            record = real(start, cache, diagram)
+            folded.append((start, record))
+            return record
+
+        monkeypatch.setattr(unknotting, "_chain_record", chain_record)
+        report = verify_theorem2(10)
+        assert [start for start, _ in folded] == [
+            IJKState(row.i, row.j, row.k) for row in report.rows]
+        assert [(row.upper, row.lower) for row in report.rows] == [
+            (total, lower) for _, (total, _, lower) in folded]
 
     def test_the_sweep_makes_each_first_step_once(self, monkeypatch):
         # in theorem-2 order every intermediate state is an earlier row
@@ -400,18 +421,17 @@ class TestFirstStepCache:
 
     @staticmethod
     def _shuffled_rows(max_i):
-        """verify_row over one cache in a seeded shuffled order, listed in
-        parameter order."""
-        triples = list(knot_parameter_triples(max_i))
+        """Rows folded through one cache in a seeded shuffled order, listed
+        in parameter order."""
+        triples = list(oracle_knot_states(max_i))
         shuffled = triples.copy()
         random.Random(20).shuffle(shuffled)
-        cache: dict = {}
-        rows = {triple: verify_row(*triple, cache) for triple in shuffled}
+        rows = _shared_rows(shuffled)
         return tuple(rows[triple] for triple in triples)
 
     @staticmethod
     def _assert_fails_the_rows_through_3_2_0(rows):
-        triples = list(knot_parameter_triples(10))
+        triples = list(oracle_knot_states(10))
         assert rows == tuple(verify_row(i, j, k) for i, j, k in triples)
         failing = {(row.i, row.j, row.k) for row in rows if not row.passed}
         through = {triple for triple in triples
@@ -460,17 +480,15 @@ class TestRowOracle:
         assert sum(j > i for i, j, _ in self.KNOTS) == 204
 
     def test_rows_with_fresh_caches(self, expected):
-        assert {triple: verify_row(*triple, {}) for triple in self.KNOTS} == expected
+        assert {triple: verify_row(*triple) for triple in self.KNOTS} == expected
 
     def test_rows_through_one_cache_in_theorem2_order(self, expected):
-        cache: dict = {}
-        assert {triple: verify_row(*triple, cache) for triple in self.KNOTS} == expected
+        assert _shared_rows(self.KNOTS) == expected
 
     def test_rows_through_one_cache_in_a_shuffled_order(self, expected):
         shuffled = self.KNOTS.copy()
         random.Random(20).shuffle(shuffled)
-        cache: dict = {}
-        assert {triple: verify_row(*triple, cache) for triple in shuffled} == expected
+        assert _shared_rows(shuffled) == expected
 
 
 class TestOneTracePerState:
@@ -519,7 +537,7 @@ class TestSharedSweep:
         knots = [(i, j, k) for i in range(2, 13) for j in range(1, i + 1)
                  for k in range(i) if component_count(make_ijk(i, j, k)) == 1]
         assert [state.as_tuple() for state, _ in handed] == knots
-        assert list(knot_parameter_triples(12)) == knots
+        assert list(oracle_knot_states(12)) == knots
         for state, diagram in handed:
             assert diagram == gauss_from_closure(make_ijk(*state))
 
@@ -547,3 +565,31 @@ class TestSharedSweep:
             for k in range(strands):
                 assert _after_tail(occupant, k) == _occupants(
                     strands, _block_indices(strands, 0, k), occupant)
+
+
+class TestTorusKnots:
+    """The abstract's vu(vt(p, q, 1)) = (p-1)(q-1)/2 on both sides of the
+    diagonal: vt(p, q, 1) is the (p, q, 0) state, and q > p takes Reduce."""
+
+    PAIRS = [(p, q) for p in range(2, 41) for q in range(2, 41) if gcd(p, q) == 1]
+
+    def test_traced_p_is_the_closed_form_and_u_vanishes(self):
+        assert len(self.PAIRS) == 900
+        for p, q in self.PAIRS:
+            u, traced = u_and_p(gauss_from_closure(make_vt(p, q, 1)))
+            assert traced == oracle_torus_p(p, q)
+            assert u.is_zero
+
+    def test_the_floor_sum_is_half_the_crossings(self):
+        for p, q in self.PAIRS:
+            assert sum(b * p // q for b in range(1, q)) == (p - 1) * (q - 1) // 2
+
+    def test_rows_pass_with_the_formula_on_both_sides(self):
+        pairs = [(p, q) for p, q in self.PAIRS if p <= 20 and q <= 20]
+        assert len(pairs) == 216
+        for p, q in pairs:
+            row = verify_row(p, q, 0)
+            assert row.passed
+            assert row.lower == row.upper == row.formula == (p - 1) * (q - 1) // 2
+            kinds = [step.kind for step in unknotting_sequence(p, q, 0).steps]
+            assert (StepKind.REDUCE in kinds) == (q > p)

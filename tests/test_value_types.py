@@ -18,8 +18,8 @@ from vknot.gauss import GaussDiagram, Role, gauss_from_closure
 from vknot.invariants import IndexPolynomial
 from vknot.search import ScanSummary, TableRow, _scan_subsets, default_table_pairs
 from vknot.unknotting import (IJKState, StepKind, UnknottingSequence, UnknottingStep,
-                              VerifyReport, VerifyRow, knot_parameter_triples, next_step,
-                              unknotting_sequence, verify_row, verify_theorem2)
+                              VerifyReport, VerifyRow, next_step, unknotting_sequence,
+                              verify_row, verify_theorem2)
 
 # One sample of each public value type, built fresh on every call, and its
 # repr as the earlier dataclass-based types printed it.  UnknottingSequence
@@ -123,11 +123,11 @@ BAD_ARGUMENTS = [
     (_scan_subsets, dict(p=5, q=4, limit=True)),
     (default_table_pairs, dict(max_p=8.0)),
     (verify_theorem2, dict(max_i=3.0)),
-    # knot_parameter_triples shares verify_theorem2's check, and refuses
-    # before the first triple is asked for
-    (knot_parameter_triples, dict(max_i=True)),
-    (knot_parameter_triples, dict(max_i=3.0)),
-    (knot_parameter_triples, dict(max_i=1)),
+    # verify_theorem2 refuses too small a size, and a size that is no int
+    # before any row is built
+    (verify_theorem2, dict(max_i=1)),
+    (verify_theorem2, dict(max_i="12")),
+    (verify_theorem2, dict(max_i=None)),
     (verify_theorem2, dict(max_i=True)),
 ]
 
@@ -280,10 +280,10 @@ PUBLIC_NAMES = """
     ScanSummary StepKind TableRow TerminalStateError UnknottingSequence
     UnknottingStep VerifyReport VerifyRow bound_from_p chord_index classical
     component_count default_table_pairs emit_gauss_code flip gauss_from_closure
-    knot_parameter_triples make_ijk make_vt next_step p_invariant parse_braid
-    parse_family parse_gauss_code poly_to_string scan_torus_virtualizations
-    table_to_csv table_vt2 torus_word u_and_p u_invariant unknotting_sequence
-    verify_row verify_theorem2 virtual vu_lower_bound
+    make_ijk make_vt next_step p_invariant parse_braid parse_family
+    parse_gauss_code scan_torus_virtualizations table_to_csv table_vt2
+    torus_word u_and_p u_invariant unknotting_sequence verify_row
+    verify_theorem2 virtual vu_lower_bound
 """.split()
 
 
