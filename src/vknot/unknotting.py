@@ -22,9 +22,10 @@ lower bound with equality across a whole parameter range.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .braid import BraidWord, _Checked, _cycles, component_count, make_ijk
+from .braid import (BraidWord, _Checked, _cycles, _occupants, component_count,
+                    make_ijk)
 from .gauss import (GaussDiagram, MultiComponentError, _splice, _sweep,
                     gauss_from_closure)
 from .invariants import bound_from_p, u_and_p
@@ -207,12 +208,11 @@ def next_step(state: IJKState) -> UnknottingStep:
     raise NotAKnotError(state, component_count(state.braid_word()))
 
 
-def _walk(start: IJKState, records: dict) -> tuple[UnknottingStep, ...]:
-    """The move chain from ``start`` down to a terminal state, or to the
-    first state that already has a record in ``records``."""
+def unknotting_sequence(i: int, j: int, k: int) -> UnknottingSequence:
+    """Full move chain from (i, j, k) down to a terminal state."""
+    start = state = IJKState(i, j, k)
     steps: list[UnknottingStep] = []
-    state = start
-    while not state.is_terminal and state not in records:
+    while not state.is_terminal:
         try:
             step = next_step(state)
         except NotAKnotError as error:
@@ -220,19 +220,7 @@ def _walk(start: IJKState, records: dict) -> tuple[UnknottingStep, ...]:
             raise NotAKnotError(start, error.components) from None
         steps.append(step)
         state = step.after
-    return tuple(steps)
-
-
-def unknotting_sequence(i: int, j: int, k: int) -> UnknottingSequence:
-    """Full move chain from (i, j, k) down to a terminal state."""
-    start = IJKState(i, j, k)
-    return UnknottingSequence(start, _walk(start, {}))
-
-
-def _after_tail(occupant: list[int], k: int) -> list[int]:
-    """``occupant`` after the tail s_k ... s_1: the strand at position k
-    moves to position 0 and positions 0 ... k-1 shift up by one."""
-    return [occupant[k], *occupant[:k], *occupant[k + 1:]]
+    return UnknottingSequence(start, steps)
 
 
 class VerifyRow(NamedTuple):
@@ -273,44 +261,36 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _chain_record(start: IJKState, cache: dict, diagram: GaussDiagram | None = None
-                  ) -> tuple[int, str, int | None]:
-    """``start``'s record: the change total of its move chain, the chain's
-    first complaint in chain order, and ``start``'s lower bound, None for a
-    link.
+def _fold(state: IJKState, trace: Callable[[], GaussDiagram], records: dict
+          ) -> tuple[int, str, int | None]:
+    """``state``'s record, kept in ``records``: the change total of its move
+    chain, the chain's first complaint in chain order, and ``state``'s lower
+    bound, None for a link.
 
-    Walks down to the first state with a record in ``cache``, or to the
-    terminal state, whose record starts from a zero total; then folds back
-    up one move at a time, each state adding its move's cost to the next
-    state's total and its own complaint, if any, before the next state's.
-    A state's complaint is a link or a nonzero u, both read from its
-    traced closure: ``diagram`` for ``start`` when given.  Each folded
-    total must be half the state's crossing count, as for an
-    UnknottingSequence, and each state's record is kept in ``cache`` under
-    the state.
+    A terminal state's total is 0; any other state's is its move's cost plus
+    the total on record for the state that move reaches, which must already
+    be in ``records``.  Each total must be half the state's crossing count,
+    as for an UnknottingSequence.  The complaint is the state's own, a link
+    or a nonzero u read from its diagram ``trace()``, or else the next
+    state's.
     """
-    steps = _walk(start, cache)
-    bottom = steps[-1].after if steps else start
-    moves = [(step.before, step.changes) for step in steps]
-    if bottom in cache:
-        total, complaint, _ = cache[bottom]
-    else:  # the terminal state
+    if state.is_terminal:
         total, complaint = 0, ""
-        moves.append((bottom, 0))
-    for state, changes in reversed(moves):
-        try:
-            u, p = u_and_p(gauss_from_closure(state.braid_word())
-                           if state is not start or diagram is None else diagram)
-            message = "" if u.is_zero else f"intermediate {state} has nonzero u"
-            lower = bound_from_p(p)
-        except MultiComponentError as error:
-            message = f"intermediate {state} has {error.components} components"
-            lower = None
-        total += changes
-        _check_total(state, total)
-        complaint = message or complaint
-        cache[state] = (total, complaint, lower)
-    return cache[start]
+    else:
+        step = next_step(state)
+        total, complaint, _ = records[step.after]
+        total += step.changes
+    _check_total(state, total)
+    try:
+        u, p = u_and_p(trace())
+        if not u.is_zero:
+            complaint = f"intermediate {state} has nonzero u"
+        lower = bound_from_p(p)
+    except MultiComponentError as error:
+        complaint = f"intermediate {state} has {error.components} components"
+        lower = None
+    records[state] = record = (total, complaint, lower)
+    return record
 
 
 def _row(state: IJKState, record: tuple[int, str, int | None]) -> VerifyRow:
@@ -320,7 +300,7 @@ def _row(state: IJKState, record: tuple[int, str, int | None]) -> VerifyRow:
     upper, complaint, lower = record
     # a knot's permutation is one i-cycle, a product of i-1 transpositions,
     # so its (i-1)j + k letters have i-1's parity and its crossing count
-    # (i-1)(j-1) + k is even; _chain_record would raise on an odd one
+    # (i-1)(j-1) + k is even; _fold would raise on an odd one
     formula = state.crossing_count() // 2
     problems: list[str] = []
     if not lower == upper == formula:
@@ -335,30 +315,35 @@ def _row(state: IJKState, record: tuple[int, str, int | None]) -> VerifyRow:
 def verify_row(i: int, j: int, k: int) -> VerifyRow:
     """Cross-check one knot state: invariant lower bound, explicit sequence
     cost, and the closed formula must agree, and every intermediate state
-    must stay a knot with vanishing u.  A link start raises NotAKnotError
-    from the walk, as no move can bring a link to the terminal unknot.
+    must stay a knot with vanishing u.  The state's move chain is folded
+    from its terminal state up, tracing each state once.  A link start
+    raises NotAKnotError from unknotting_sequence, as no move can bring a
+    link to the terminal unknot.
     """
-    state = IJKState(i, j, k)
-    return _row(state, _chain_record(state, {}))
+    sequence = unknotting_sequence(i, j, k)
+    records: dict = {}
+    for state in reversed(sequence.states()):
+        record = _fold(state, lambda: gauss_from_closure(state.braid_word()), records)
+    return _row(sequence.start, record)
 
 
 def verify_theorem2(max_i: int) -> VerifyReport:
     """The row of every one-component (i, j, k) with 2 <= i <= ``max_i``,
     1 <= j <= i and 0 <= k < i, in parameter order, each folded once
-    through one shared cache of chain records.
+    into one shared dict of records.
 
     Rows with the same i share the virtual block and every ascending
     block, so each i's blocks are swept once, the j-th as j reaches it.
     Each row copies that trace, sweeps its own k-letter tail and splices
-    its diagram, which is checked as its record is folded.  Every later
-    state of a row's chain is an earlier row, so no word is traced whole
-    and each row makes one move.
+    its diagram, which is checked as its record is folded.  With j <= i no
+    row takes Reduce, so each row's one move reaches an earlier row, whose
+    record it folds from, and no word is traced whole.
     """
     if type(max_i) is not int:
         raise ValueError(f"max_i must be an integer, got {max_i!r}")
     if max_i < 2:
         raise ValueError(f"max_i must be >= 2, got {max_i}")
-    cache: dict = {}
+    records: dict = {}
     rows = []
     for i in range(2, max_i + 1):
         letters = make_ijk(i, i, i - 1).letters
@@ -367,11 +352,11 @@ def verify_theorem2(max_i: int) -> VerifyReport:
         for j in range(1, i + 1):
             _sweep(blocks[(j - 1) * (i - 1):j * (i - 1)], visits, occupant, signs)
             for k in range(i):
-                if len(_cycles(_after_tail(occupant, k))) != 1:
+                if len(_cycles(_occupants(i, range(k, 0, -1), occupant))) != 1:
                     continue
                 trace = ([strand.copy() for strand in visits], occupant.copy(),
                          signs.copy())
                 _sweep(tails[i - 1 - k:], *trace)
                 state = IJKState(i, j, k)
-                rows.append(_row(state, _chain_record(state, cache, _splice(*trace))))
+                rows.append(_row(state, _fold(state, lambda: _splice(*trace), records)))
     return VerifyReport(max_i, tuple(rows))

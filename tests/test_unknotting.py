@@ -1,15 +1,13 @@
 """Unknotting states, moves, sequences, and the verification sweep."""
 
 import inspect
-import random
 import sys
 from collections import Counter
-from itertools import permutations
 from math import gcd
 
 import pytest
 
-from vknot.braid import _block_indices, _occupants, component_count, make_ijk, make_vt
+from vknot.braid import component_count, make_ijk, make_vt
 from vknot.gauss import MultiComponentError, gauss_from_closure
 from vknot import gauss, unknotting
 from vknot.invariants import (IndexPolynomial, bound_from_p, p_invariant, u_and_p,
@@ -21,10 +19,8 @@ from vknot.unknotting import (
     TerminalStateError,
     UnknottingSequence,
     UnknottingStep,
-    _after_tail,
-    _chain_record,
+    _fold,
     _row,
-    _walk,
     next_step,
     unknotting_sequence,
     verify_row,
@@ -43,27 +39,32 @@ ALL_STATES = [IJKState(i, j, k) for i in range(2, 11)
 
 @pytest.fixture
 def handed(monkeypatch):
-    """(state, diagram) for each diagram handed to _chain_record."""
+    """(state, diagram) for each state _fold folds, its diagram traced once."""
     pairs = []
-    real = unknotting._chain_record
+    real = unknotting._fold
 
-    def chain_record(start, cache, diagram=None):
-        if diagram is not None:
-            pairs.append((start, diagram))
-        return real(start, cache, diagram)
+    def fold(state, trace, records):
+        diagram = trace()
+        pairs.append((state, diagram))
+        return real(state, lambda: diagram, records)
 
-    monkeypatch.setattr(unknotting, "_chain_record", chain_record)
+    monkeypatch.setattr(unknotting, "_fold", fold)
     return pairs
 
 
+def _fold_word(state, records):
+    """``state``'s record from _fold, with its whole word traced."""
+    return _fold(state, lambda: gauss_from_closure(state.braid_word()), records)
+
+
 def _shared_rows(triples):
-    """Each triple's row, its chain record folded through one cache shared
-    in the order given."""
-    cache: dict = {}
+    """Each triple's row, folded into one dict of records in the order
+    given, which must put the state each move reaches before the move."""
+    records: dict = {}
     rows = {}
     for triple in triples:
         state = IJKState(*triple)
-        rows[triple] = _row(state, _chain_record(state, cache))
+        rows[triple] = _row(state, _fold_word(state, records))
     return rows
 
 
@@ -340,32 +341,42 @@ class TestFirstStepCache:
             verify_row(i, j, k) for i, j, k in oracle_knot_states(max_i))
 
     def test_chains_through_the_shared_cache_equal_fresh_sequences(self):
-        cache: dict = {}
+        records: dict = {}
         for triple in oracle_knot_states(10):
-            _chain_record(IJKState(*triple), cache)
+            _fold_word(IJKState(*triple), records)
         # one record per state the chains pass through, terminal states
         # included: the fresh sequence's total, no complaint, and the bound
         # of the traced P, never the polynomial itself
         visited = {state for triple in oracle_knot_states(10)
                    for state in unknotting_sequence(*triple).states()}
-        assert set(cache) == visited
-        for state, record in cache.items():
+        assert set(records) == visited
+        for state, record in records.items():
             sequence = unknotting_sequence(*state)
             p = p_invariant(gauss_from_closure(state.braid_word()))
             assert record == (sequence.total_changes, "", bound_from_p(p))
             assert [type(field) for field in record] == [int, str, int]
-            # the walk stops at the first state with a record
-            assert _walk(state, {}) == sequence.steps
-            for n, later in enumerate(sequence.states()):
-                assert _walk(state, {later: record}) == sequence.steps[:n]
 
     def test_a_wrong_total_on_record_fails_the_next_fold(self):
         # (3,2,0) moves by A, for free, to (2,2,1), whose chain changes one
         # crossing: a record of 5 there cannot be half of (3,2,0)'s 2
-        cache = {IJKState(2, 2, 1): (5, "", 1)}
+        records = {IJKState(2, 2, 1): (5, "", 1)}
         with pytest.raises(ValueError, match="change total 5 is not half of 2"):
-            _chain_record(IJKState(3, 2, 0), cache)
-        assert IJKState(3, 2, 0) not in cache
+            _fold_word(IJKState(3, 2, 0), records)
+        assert IJKState(3, 2, 0) not in records
+
+    def test_a_fold_without_the_next_record_raises_and_keeps_the_records(self):
+        # a fold makes one move and never walks on down the chain
+        records: dict = {}
+        for triple in [*oracle_knot_states(6), (3, 5, 0)]:
+            state = IJKState(*triple)
+            if not state.is_terminal:
+                kept = dict(records)
+                del kept[next_step(state).after]
+                before = dict(kept)
+                with pytest.raises(KeyError):
+                    _fold_word(state, kept)
+                assert kept == before
+            _fold_word(state, records)
 
     def test_the_fold_is_a_loop(self):
         # (2,601,0) takes 300 Reduce moves down to (2,1,0)
@@ -380,14 +391,14 @@ class TestFirstStepCache:
     def test_the_sweep_folds_each_row_once(self, monkeypatch):
         # each row is built from the one record its own fold returns
         folded = []
-        real = unknotting._chain_record
+        real = unknotting._fold
 
-        def chain_record(start, cache, diagram=None):
-            record = real(start, cache, diagram)
-            folded.append((start, record))
+        def fold(state, trace, records):
+            record = real(state, trace, records)
+            folded.append((state, record))
             return record
 
-        monkeypatch.setattr(unknotting, "_chain_record", chain_record)
+        monkeypatch.setattr(unknotting, "_fold", fold)
         report = verify_theorem2(10)
         assert [start for start, _ in folded] == [
             IJKState(row.i, row.j, row.k) for row in report.rows]
@@ -420,16 +431,6 @@ class TestFirstStepCache:
         return flag
 
     @staticmethod
-    def _shuffled_rows(max_i):
-        """Rows folded through one cache in a seeded shuffled order, listed
-        in parameter order."""
-        triples = list(oracle_knot_states(max_i))
-        shuffled = triples.copy()
-        random.Random(20).shuffle(shuffled)
-        rows = _shared_rows(shuffled)
-        return tuple(rows[triple] for triple in triples)
-
-    @staticmethod
     def _assert_fails_the_rows_through_3_2_0(rows):
         triples = list(oracle_knot_states(10))
         assert rows == tuple(verify_row(i, j, k) for i, j, k in triples)
@@ -445,15 +446,12 @@ class TestFirstStepCache:
         flag((3, 2, 0))
         self._assert_fails_the_rows_through_3_2_0(verify_theorem2(10).rows)
 
-    def test_a_failing_state_fails_the_same_rows_in_a_shuffled_order(self, flag):
-        flag((3, 2, 0))
-        self._assert_fails_the_rows_through_3_2_0(self._shuffled_rows(10))
-
     def test_a_row_names_its_first_failing_state_in_chain_order(self, flag):
         # (3,2,0) moves by A to (2,2,1): rows through both name (3,2,0)
         flagged = {IJKState(3, 2, 0), IJKState(2, 2, 1)}
         flag(*flagged)
-        for rows in (verify_theorem2(10).rows, self._shuffled_rows(10)):
+        for rows in (verify_theorem2(10).rows,
+                     [verify_row(*triple) for triple in oracle_knot_states(10)]):
             for row in rows:
                 first = [state for state in unknotting_sequence(row.i, row.j, row.k)
                          .states() if state in flagged][:1]
@@ -484,11 +482,6 @@ class TestRowOracle:
 
     def test_rows_through_one_cache_in_theorem2_order(self, expected):
         assert _shared_rows(self.KNOTS) == expected
-
-    def test_rows_through_one_cache_in_a_shuffled_order(self, expected):
-        shuffled = self.KNOTS.copy()
-        random.Random(20).shuffle(shuffled)
-        assert _shared_rows(shuffled) == expected
 
 
 class TestOneTracePerState:
@@ -558,13 +551,6 @@ class TestSharedSweep:
         assert sum(len(make_ijk(row.i, row.j, row.k)) for row in report.rows) == 42190
         assert sum(row.k for row in report.rows) == 2782
         assert len(letters) == 4142
-
-    @pytest.mark.parametrize("strands", range(2, 7))
-    def test_the_tail_rotation_equals_the_tail_letter_swaps(self, strands):
-        for occupant in map(list, permutations(range(strands))):
-            for k in range(strands):
-                assert _after_tail(occupant, k) == _occupants(
-                    strands, _block_indices(strands, 0, k), occupant)
 
 
 class TestTorusKnots:
