@@ -1,13 +1,15 @@
 """Unknotting states, moves, sequences, and the verification sweep."""
 
 import inspect
+import random
 import sys
 from collections import Counter
+from itertools import permutations
 from math import gcd
 
 import pytest
 
-from vknot.braid import component_count, make_ijk, make_vt
+from vknot.braid import _block_indices, _occupants, component_count, make_ijk, make_vt
 from vknot.gauss import MultiComponentError, gauss_from_closure
 from vknot import gauss, unknotting
 from vknot.invariants import (IndexPolynomial, bound_from_p, p_invariant, u_and_p,
@@ -65,6 +67,23 @@ def _shared_rows(triples):
     for triple in triples:
         state = IJKState(*triple)
         rows[triple] = _row(state, _fold_word(state, records))
+    return rows
+
+
+def _shuffled_rows(triples):
+    """Each triple's row, folded into one dict of records in a seeded
+    shuffled order; a row first folds, from its terminal state up, the
+    states of its chain not yet on record."""
+    shuffled = list(triples)
+    random.Random(20).shuffle(shuffled)
+    records: dict = {}
+    rows = {}
+    for triple in shuffled:
+        start, *later = unknotting_sequence(*triple).states()
+        for state in reversed(later):
+            if state not in records:
+                _fold_word(state, records)
+        rows[triple] = _row(start, _fold_word(start, records))
     return rows
 
 
@@ -446,6 +465,12 @@ class TestFirstStepCache:
         flag((3, 2, 0))
         self._assert_fails_the_rows_through_3_2_0(verify_theorem2(10).rows)
 
+    def test_a_failing_state_fails_the_same_rows_in_a_shuffled_order(self, flag):
+        flag((3, 2, 0))
+        rows = _shuffled_rows(oracle_knot_states(10))
+        self._assert_fails_the_rows_through_3_2_0(
+            tuple(rows[triple] for triple in oracle_knot_states(10)))
+
     def test_a_row_names_its_first_failing_state_in_chain_order(self, flag):
         # (3,2,0) moves by A to (2,2,1): rows through both name (3,2,0)
         flagged = {IJKState(3, 2, 0), IJKState(2, 2, 1)}
@@ -482,6 +507,9 @@ class TestRowOracle:
 
     def test_rows_through_one_cache_in_theorem2_order(self, expected):
         assert _shared_rows(self.KNOTS) == expected
+
+    def test_rows_through_one_cache_in_a_shuffled_order(self, expected):
+        assert _shuffled_rows(self.KNOTS) == expected
 
 
 class TestOneTracePerState:
@@ -551,6 +579,20 @@ class TestSharedSweep:
         assert sum(len(make_ijk(row.i, row.j, row.k)) for row in report.rows) == 42190
         assert sum(row.k for row in report.rows) == 2782
         assert len(letters) == 4142
+
+    @pytest.mark.parametrize("strands", range(2, 7))
+    def test_the_tail_rotation_equals_the_tail_letter_swaps(self, strands):
+        # verify's knot-state filter swaps the tail s_k ... s_1 onto the
+        # blocks' occupants: the strand at position k moves to position 0
+        # and positions 0 ... k-1 shift up by one
+        for occupant in map(list, permutations(range(strands))):
+            before = occupant.copy()
+            for k in range(strands):
+                rotated = [occupant[k], *occupant[:k], *occupant[k + 1:]]
+                assert _occupants(strands, range(k, 0, -1), occupant) == rotated
+                assert _occupants(strands, _block_indices(strands, 0, k),
+                                  occupant) == rotated
+            assert occupant == before
 
 
 class TestTorusKnots:
