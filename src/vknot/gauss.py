@@ -108,14 +108,17 @@ def gauss_from_closure(word: BraidWord) -> GaussDiagram:
     letter signs.
 
     One sweep over the letters records what each strand meets; the strands'
-    records are then spliced along the closure's first component, which
-    must hold every strand.
+    records are then spliced along the closure's one component, which must
+    hold every strand.
     """
     visits: list[list[tuple[int, Role]]] = [[] for _ in range(word.strands)]
     occupant = list(range(word.strands))  # strands, named by entry position
     signs: list[int] = []
     _sweep(word.letters, visits, occupant, signs)
-    return _splice(visits, occupant, signs)
+    cycles = _cycles(occupant)
+    if len(cycles) != 1:
+        raise MultiComponentError(len(cycles))
+    return _splice(visits, cycles[0], signs)
 
 
 def _sweep(letters: Iterable[BraidLetter], visits: list[list[tuple[int, Role]]],
@@ -139,14 +142,11 @@ def _sweep(letters: Iterable[BraidLetter], visits: list[list[tuple[int, Role]]],
         occupant[a], occupant[a + 1] = bottom, top
 
 
-def _splice(visits: list[list[tuple[int, Role]]], occupant: list[int],
+def _splice(visits: list[list[tuple[int, Role]]], cycle: list[int],
             signs: list[int]) -> GaussDiagram:
-    """The diagram of a finished trace: the strands' visits joined along the
-    closure's first component, which must hold every strand."""
-    cycles = _cycles(occupant)
-    if len(cycles) != 1:
-        raise MultiComponentError(len(cycles))
-    endpoints = [visit for strand in cycles[0] for visit in visits[strand]]
+    """The diagram of a finished trace: the strands' visits joined along
+    ``cycle``, the closure's one component as ``_cycles`` walks it."""
+    endpoints = [visit for strand in cycle for visit in visits[strand]]
     return GaussDiagram(tuple(endpoints), tuple(signs))
 
 

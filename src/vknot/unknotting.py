@@ -261,23 +261,21 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _fold(state: IJKState, trace: Callable[[], GaussDiagram], records: dict
-          ) -> tuple[int, str, int | None]:
+def _fold(state: IJKState, step: UnknottingStep | None, trace: Callable[[], GaussDiagram],
+          records: dict) -> tuple[int, str, int | None]:
     """``state``'s record, kept in ``records``: the change total of its move
     chain, the chain's first complaint in chain order, and ``state``'s lower
     bound, None for a link.
 
-    A terminal state's total is 0; any other state's is its move's cost plus
-    the total on record for the state that move reaches, which must already
-    be in ``records``.  Each total must be half the state's crossing count,
-    as for an UnknottingSequence.  The complaint is the state's own, a link
-    or a nonzero u read from its diagram ``trace()``, or else the next
-    state's.
+    ``step`` is ``state``'s move, None at a terminal state.  A terminal
+    state's total is 0; any other state's is the move's cost plus the total
+    on record for the state the move reaches, which must already be in
+    ``records``.  Each total must be half the state's crossing count, as
+    for an UnknottingSequence.  The complaint is the state's own, a link or a
+    nonzero u read from its diagram ``trace()``, or else the next state's.
     """
-    if state.is_terminal:
-        total, complaint = 0, ""
-    else:
-        step = next_step(state)
+    total, complaint = 0, ""
+    if step is not None:
         total, complaint, _ = records[step.after]
         total += step.changes
     _check_total(state, total)
@@ -315,16 +313,16 @@ def _row(state: IJKState, record: tuple[int, str, int | None]) -> VerifyRow:
 def verify_row(i: int, j: int, k: int) -> VerifyRow:
     """Cross-check one knot state: invariant lower bound, explicit sequence
     cost, and the closed formula must agree, and every intermediate state
-    must stay a knot with vanishing u.  The state's move chain is folded
+    must stay a knot with vanishing u.  The sequence's steps are folded
     from its terminal state up, tracing each state once.  A link start
     raises NotAKnotError from unknotting_sequence, as no move can bring a
     link to the terminal unknot.
     """
     sequence = unknotting_sequence(i, j, k)
     records: dict = {}
-    for state in reversed(sequence.states()):
-        record = _fold(state, lambda: gauss_from_closure(state.braid_word()), records)
-    return _row(sequence.start, record)
+    for state, step in zip(reversed(sequence.states()), (None, *sequence.steps[::-1])):
+        _fold(state, step, lambda: gauss_from_closure(state.braid_word()), records)
+    return _row(sequence.start, records[sequence.start])
 
 
 def verify_theorem2(max_i: int) -> VerifyReport:
@@ -335,9 +333,10 @@ def verify_theorem2(max_i: int) -> VerifyReport:
     Rows with the same i share the virtual block and every ascending
     block, so each i's blocks are swept once, the j-th as j reaches it.
     Each row copies that trace, sweeps its own k-letter tail and splices
-    its diagram, which is checked as its record is folded.  With j <= i no
-    row takes Reduce, so each row's one move reaches an earlier row, whose
-    record it folds from, and no word is traced whole.
+    its diagram along the one cycle its knot-state filter walked; the
+    diagram is checked as the row's record is folded.  With j <= i no row
+    takes Reduce, so each row makes its one move, which reaches an earlier
+    row whose record it folds from, and no word is traced whole.
     """
     if type(max_i) is not int:
         raise ValueError(f"max_i must be an integer, got {max_i!r}")
@@ -352,11 +351,13 @@ def verify_theorem2(max_i: int) -> VerifyReport:
         for j in range(1, i + 1):
             _sweep(blocks[(j - 1) * (i - 1):j * (i - 1)], visits, occupant, signs)
             for k in range(i):
-                if len(_cycles(_occupants(i, range(k, 0, -1), occupant))) != 1:
+                cycle, *others = _cycles(_occupants(i, range(k, 0, -1), occupant))
+                if others:
                     continue
-                trace = ([strand.copy() for strand in visits], occupant.copy(),
-                         signs.copy())
-                _sweep(tails[i - 1 - k:], *trace)
+                row_visits, row_signs = [strand.copy() for strand in visits], signs.copy()
+                _sweep(tails[i - 1 - k:], row_visits, occupant.copy(), row_signs)
                 state = IJKState(i, j, k)
-                rows.append(_row(state, _fold(state, lambda: _splice(*trace), records)))
+                step = None if state.is_terminal else next_step(state)
+                rows.append(_row(state, _fold(state, step, lambda: _splice(
+                    row_visits, cycle, row_signs), records)))
     return VerifyReport(max_i, tuple(rows))

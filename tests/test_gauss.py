@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vknot.braid import make_ijk, make_vt, parse_braid
+from vknot.braid import _cycles, make_ijk, make_vt, parse_braid
 from vknot.gauss import (
     GaussCodeError,
     GaussDiagram,
@@ -38,10 +38,13 @@ class TestTrace:
         assert diagram.n_chords == 0
         assert diagram.endpoints == ()
 
-    def test_multi_component_rejected(self):
+    @pytest.mark.parametrize("word,components", [(make_ijk(4, 3, 1), 2),
+                                                 (parse_braid("1 -1", 3), 3)])
+    def test_multi_component_rejected(self, word, components):
+        # gauss_from_closure refuses a link itself; _splice takes one cycle
         with pytest.raises(MultiComponentError) as info:
-            gauss_from_closure(make_ijk(4, 3, 1))
-        assert info.value.components == 2
+            gauss_from_closure(word)
+        assert info.value.components == components
 
     def test_chord_count_and_signs_follow_letters(self):
         word = parse_braid("1 -2 1 -2", 3)
@@ -64,7 +67,8 @@ class TestTrace:
         trace = ([[] for _ in range(word.strands)], list(range(word.strands)), [])
         _sweep(word.letters[:cut], *trace)
         _sweep(word.letters[cut:], *trace)
-        assert _splice(*trace) == gauss_from_closure(word)
+        visits, occupant, signs = trace
+        assert _splice(visits, _cycles(occupant)[0], signs) == gauss_from_closure(word)
 
     @given(braid_words().filter(lambda word: oracle_cycle_count(word) > 1))
     def test_links_rejected_like_the_oracles(self, word):

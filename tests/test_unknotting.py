@@ -45,18 +45,20 @@ def handed(monkeypatch):
     pairs = []
     real = unknotting._fold
 
-    def fold(state, trace, records):
+    def fold(state, step, trace, records):
         diagram = trace()
         pairs.append((state, diagram))
-        return real(state, lambda: diagram, records)
+        return real(state, step, lambda: diagram, records)
 
     monkeypatch.setattr(unknotting, "_fold", fold)
     return pairs
 
 
 def _fold_word(state, records):
-    """``state``'s record from _fold, with its whole word traced."""
-    return _fold(state, lambda: gauss_from_closure(state.braid_word()), records)
+    """``state``'s record from _fold, with its move made and its whole word
+    traced."""
+    step = None if state.is_terminal else next_step(state)
+    return _fold(state, step, lambda: gauss_from_closure(state.braid_word()), records)
 
 
 def _shared_rows(triples):
@@ -412,8 +414,8 @@ class TestFirstStepCache:
         folded = []
         real = unknotting._fold
 
-        def fold(state, trace, records):
-            record = real(state, trace, records)
+        def fold(state, step, trace, records):
+            record = real(state, step, trace, records)
             folded.append((state, record))
             return record
 
@@ -423,6 +425,18 @@ class TestFirstStepCache:
             IJKState(row.i, row.j, row.k) for row in report.rows]
         assert [(row.upper, row.lower) for row in report.rows] == [
             (total, lower) for _, (total, _, lower) in folded]
+
+    def test_a_row_makes_each_move_once(self, monkeypatch):
+        # verify_row folds the steps its sequence made: one next_step per
+        # non-terminal state, 300 for the 300 Reduce moves of (2,601,0)
+        made = []
+        real = unknotting.next_step
+        monkeypatch.setattr(unknotting, "next_step",
+                            lambda state: made.append(state) or real(state))
+        for triple, moves in [((2, 601, 0), 300), ((7, 9, 4), 3), ((2, 1, 0), 0)]:
+            made.clear()
+            assert verify_row(*triple).passed
+            assert len(made) == len(set(made)) == moves
 
     def test_the_sweep_makes_each_first_step_once(self, monkeypatch):
         # in theorem-2 order every intermediate state is an earlier row
@@ -543,6 +557,22 @@ class TestOneTracePerState:
         assert Counter(state for state, _ in handed) == Counter(states)
         assert all(diagram == gauss_from_closure(state.braid_word())
                    for state, diagram in handed)
+
+    def test_the_sweep_walks_each_closure_once(self, monkeypatch):
+        # the knot-state filter walks every (i, j, k) closure once, and the
+        # splice joins a knot row's strands along the cycle it walked
+        walked = []
+        real = unknotting._cycles
+
+        def cycles(occupant):
+            walked.append(occupant)
+            return real(occupant)
+
+        monkeypatch.setattr(unknotting, "_cycles", cycles)
+        monkeypatch.setattr(gauss, "_cycles", cycles)
+        report = verify_theorem2(10)
+        assert len(report.rows) == 134 and report.all_passed
+        assert len(walked) == sum(i * i for i in range(2, 11)) == 384
 
     @pytest.mark.parametrize("triple", [(2, 2, 0), (3, 1, 1), (4, 3, 1)])
     def test_a_link_row_raises_a_typed_error(self, triple):
