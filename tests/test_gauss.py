@@ -38,13 +38,12 @@ class TestTrace:
         assert diagram.n_chords == 0
         assert diagram.endpoints == ()
 
-    @pytest.mark.parametrize("word,components", [(make_ijk(4, 3, 1), 2),
-                                                 (parse_braid("1 -1", 3), 3)])
-    def test_multi_component_rejected(self, word, components):
+    def test_multi_component_rejected(self):
         # gauss_from_closure refuses a link itself; _splice takes one cycle
-        with pytest.raises(MultiComponentError) as info:
-            gauss_from_closure(word)
-        assert info.value.components == components
+        for word, components in [(make_ijk(4, 3, 1), 2), (parse_braid("1 -1", 3), 3)]:
+            with pytest.raises(MultiComponentError) as info:
+                gauss_from_closure(word)
+            assert info.value.components == components
 
     def test_chord_count_and_signs_follow_letters(self):
         word = parse_braid("1 -2 1 -2", 3)
