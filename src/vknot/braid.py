@@ -140,21 +140,23 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     When ``strands`` is omitted it is inferred as one more than the largest
     index (1 for the empty word).  Only the token syntax is checked here;
     index and strand-count ranges are BraidLetter's and BraidWord's to check.
+    Each distinct token, in order of first appearance, is checked and then
+    built once, and equal tokens share their letter, as family words do.
     """
-    tokens = []
-    for token in text.split():
+    tokens = text.split()
+    groups = dict.fromkeys(tokens)
+    for token in groups:
         match = _BRAID_TOKEN.match(token)
         if match is None:
             raise BraidParseError(f"malformed braid token {token!r}")
-        tokens.append(match.groups())
+        groups[token] = match.groups()
     try:
-        letters = tuple(
-            BraidLetter(_VIRTUAL if prefix == "v" else _CLASSICAL,
-                        int(digits), -1 if prefix == "-" else 1)
-            for prefix, digits in tokens)
+        letters = {token: BraidLetter(_VIRTUAL if prefix == "v" else _CLASSICAL,
+                                      int(digits), -1 if prefix == "-" else 1)
+                   for token, (prefix, digits) in groups.items()}
         if strands is None:
-            strands = 1 + max((letter.index for letter in letters), default=0)
-        return BraidWord(strands, letters)
+            strands = 1 + max((letter.index for letter in letters.values()), default=0)
+        return BraidWord(strands, map(letters.__getitem__, tokens))
     except ValueError as error:
         raise BraidParseError(str(error)) from None
 

@@ -20,8 +20,8 @@ from .gauss import MultiComponentError, emit_gauss_code, gauss_from_closure
 from .invariants import bound_from_p, u_and_p
 from .search import (ScanRecord, ScanSummary, _scan_subsets, default_table_pairs,
                      scan_torus_virtualizations, table_to_csv, table_vt2)
-from .unknotting import (NotAKnotError, unknotting_sequence, verify_row,
-                         verify_theorem2)
+from .unknotting import (NotAKnotError, VerifyRow, _verify_sequence,
+                         unknotting_sequence, verify_theorem2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,8 +98,7 @@ def _resolve_word(args: argparse.Namespace) -> BraidWord:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    word = _resolve_word(args)
-    diagram = gauss_from_closure(word)
+    diagram = gauss_from_closure(_resolve_word(args))
     selected = [name for name, wanted in (
         ("p", args.p), ("u", args.u), ("bound", args.bound),
         ("gauss_code", args.gauss_code)) if wanted]
@@ -127,7 +126,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_unknot_seq(args: argparse.Namespace) -> int:
     sequence = unknotting_sequence(args.i, args.j, args.k)
-    check = verify_row(args.i, args.j, args.k) if args.verify else None
+    check = _verify_sequence(sequence) if args.verify else None
     if args.json:
         payload = sequence.to_json_dict()
         if check is not None:
@@ -185,7 +184,7 @@ def _scan_lines(records: Iterable[ScanRecord], texts: Iterable[tuple[str, ...]],
     yield json.dumps({"summary": summary.to_json_dict()}, sort_keys=True) + "\n"
 
 
-# Lines per write.  With stdout unbuffered (python -u, PYTHONUNBUFFERED)
+# Chunks per write.  With stdout unbuffered (python -u, PYTHONUNBUFFERED)
 # each write is a write(2): a full (5,4) scan made 65 537 of them, one per
 # line, and makes 129 in blocks.  A block of (5,4) lines is about 88 KB,
 # and no more than one block is held at a time.
@@ -200,8 +199,9 @@ def _blocks(chunks: Iterable[str]) -> Iterator[str]:
 
 
 def _emit(path: str | None, chunks: Iterable[str]) -> None:
-    """Write ``chunks``, each a whole number of lines, to ``path`` or stdout,
-    one write per block of ``_BLOCK_LINES`` chunks."""
+    """Write ``chunks`` in order to ``path`` or stdout, one write per block
+    of ``_BLOCK_LINES`` chunks.  A chunk may be any text: a line, several,
+    or part of one."""
     chunks = _blocks(chunks)
     if not path:
         sys.stdout.writelines(chunks)
@@ -234,13 +234,24 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_theorem2(args.max_i)
-    if args.json:
-        print(json.dumps(report.to_json_rows(), sort_keys=True))
-    else:
-        sys.stdout.write(report.format_table())
+    _emit(None, _json_rows(report.rows) if args.json else report._table_lines())
     if args.strict and not report.all_passed:
         return 1
     return 0
+
+
+def _json_rows(rows: Iterable[VerifyRow]) -> Iterator[str]:
+    """The bytes of ``json.dumps([row.to_json_dict() ...], sort_keys=True)``
+    and a newline, as chunks: ``"["``, each row's object after its ``", "``
+    separator, then ``"]\n"``.  One encoder serves every row; ``json.dumps``
+    with ``sort_keys`` would build a new one per call."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    yield "["
+    separator = ""
+    for row in rows:
+        yield separator + encode(row.to_json_dict())
+        separator = ", "
+    yield "]\n"
 
 
 def main(argv: list[str] | None = None) -> int:

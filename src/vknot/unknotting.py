@@ -22,7 +22,7 @@ lower bound with equality across a whole parameter range.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .braid import (BraidWord, _Checked, _cycles, _occupants, component_count,
                     make_ijk)
@@ -251,14 +251,19 @@ class VerifyReport(NamedTuple):
         return [row.to_json_dict() for row in self.rows]
 
     def format_table(self) -> str:
-        lines = ["i j k lower upper formula pass"]
+        return "".join(self._table_lines())
+
+    def _table_lines(self) -> Iterator[str]:
+        """The table's lines, each ending in a newline: the header, one
+        line per row, then the count of rows that pass."""
+        yield "i j k lower upper formula pass\n"
+        good = 0
         for row in self.rows:
+            good += row.passed
             status = "ok" if row.passed else f"FAIL ({row.detail})"
-            lines.append(f"{row.i} {row.j} {row.k} {row.lower} {row.upper} "
-                         f"{row.formula} {status}")
-        good = sum(1 for row in self.rows if row.passed)
-        lines.append(f"{good}/{len(self.rows)} knots pass")
-        return "\n".join(lines) + "\n"
+            yield (f"{row.i} {row.j} {row.k} {row.lower} {row.upper} "
+                   f"{row.formula} {status}\n")
+        yield f"{good}/{len(self.rows)} knots pass\n"
 
 
 def _fold(state: IJKState, step: UnknottingStep | None, trace: Callable[[], GaussDiagram],
@@ -318,7 +323,12 @@ def verify_row(i: int, j: int, k: int) -> VerifyRow:
     raises NotAKnotError from unknotting_sequence, as no move can bring a
     link to the terminal unknot.
     """
-    sequence = unknotting_sequence(i, j, k)
+    return _verify_sequence(unknotting_sequence(i, j, k))
+
+
+def _verify_sequence(sequence: UnknottingSequence) -> VerifyRow:
+    """``verify_row`` of the start of ``sequence``, folding the steps the
+    sequence already made."""
     records: dict = {}
     for state, step in zip(reversed(sequence.states()), (None, *sequence.steps[::-1])):
         _fold(state, step, lambda: gauss_from_closure(state.braid_word()), records)

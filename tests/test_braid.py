@@ -101,6 +101,19 @@ class TestParse:
         assert word.letters[1].sign == 1
         assert word.emit() == "-2 2"
 
+    def test_equal_tokens_share_one_letter(self):
+        word = parse_braid("1 v2 -1 1 v2 -1 3")
+        first, second = word.letters[:3], word.letters[3:6]
+        assert all(a is b for a, b in zip(first, second))
+        assert word.letters[0] is not word.letters[2]
+        assert word.emit() == "1 v2 -1 1 v2 -1 3" and word.strands == 4
+
+    @pytest.mark.parametrize("text", ["0 x", "x 0", "v0 1 x 0"])
+    def test_malformed_tokens_come_before_range_errors(self, text):
+        # 0 and v0 are well-formed but out of range, x is malformed
+        with pytest.raises(BraidParseError, match="malformed braid token 'x'"):
+            parse_braid(text)
+
 
 class TestWordRange:
     # three letters out of range for 3 strands; the message names the first

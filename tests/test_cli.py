@@ -16,7 +16,8 @@ from vknot.cli import _BLOCK_LINES, _emit, _scan_lines, main, write_atomic
 from vknot.gauss import MultiComponentError
 from vknot.invariants import IndexPolynomial, _u_and_p
 from vknot.search import ScanRecord, _scan_subsets, scan_torus_virtualizations
-from vknot.unknotting import IJKState, NotAKnotError
+from vknot import unknotting
+from vknot.unknotting import IJKState, NotAKnotError, verify_theorem2
 
 from oracles import fold_summary
 
@@ -164,11 +165,11 @@ class TestUnknotSeq:
         MultiComponentError(2), NotAKnotError(IJKState(2, 2, 0), 2),
     ], ids=["multi-component", "not-a-knot"])
     def test_a_link_in_the_check_exits_3(self, capsys, monkeypatch, error):
-        # verify_row raises either type for a link; both map to exit 3
+        # the row check raises either type for a link; both map to exit 3
         def refuse(*args):
             raise error
 
-        monkeypatch.setattr("vknot.cli.verify_row", refuse)
+        monkeypatch.setattr("vknot.cli._verify_sequence", refuse)
         code, out, err = run(capsys, "unknot-seq", "3", "2", "0", "--verify")
         assert (code, out) == (3, "") and "components" in err
 
@@ -176,6 +177,17 @@ class TestUnknotSeq:
         code, out, _ = run(capsys, "unknot-seq", "3", "5", "0", "--verify")
         assert code == 0
         assert out.splitlines()[-1] == "verify: ok"
+
+    def test_verify_folds_the_printed_sequence(self, capsys, monkeypatch):
+        # the check reuses the sequence's moves: one next_step per move,
+        # 300 for the 300 Reduce moves of (2,601,0)
+        made = []
+        real = unknotting.next_step
+        monkeypatch.setattr(unknotting, "next_step",
+                            lambda state: made.append(state) or real(state))
+        code, out, _ = run(capsys, "unknot-seq", "2", "601", "0", "--verify")
+        assert code == 0 and out.splitlines()[-1] == "verify: ok"
+        assert len(made) == len(set(made)) == 300
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "unknot-seq", "3", "2", "0", "--json",
@@ -609,6 +621,29 @@ class TestVerify:
     def test_bad_max_i_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "theorem2", "--max-i", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("max_i", [2, 16, 17])
+    def test_report_is_written_in_blocks(self, monkeypatch, max_i, as_json):
+        out, rows_written = WriteLog(), []
+        write = out.write
+        # a row's JSON object holds one "pass" key, its table line one newline
+        monkeypatch.setattr(out, "write", lambda text: rows_written.append(
+            text.count('"pass"' if as_json else "\n")) or write(text))
+        monkeypatch.setattr(sys, "stdout", out)
+        argv = ["verify", "theorem2", "--max-i", str(max_i)]
+        assert main(argv + ["--json"] * as_json) == 0
+        report = verify_theorem2(max_i)
+        if as_json:
+            assert out.getvalue() == json.dumps(report.to_json_rows(), sort_keys=True) + "\n"
+        else:
+            assert out.getvalue() == report.format_table() and out.whole_lines
+        # "[" or the header, one chunk per row, then "]\n" or the count:
+        # 498 chunks at i = 16 fit in one block, 594 at i = 17 do not
+        chunks = len(report.rows) + 2
+        assert (chunks > _BLOCK_LINES) == (max_i == 17)
+        assert out.writes <= math.ceil(chunks / _BLOCK_LINES) + 1
+        assert max(rows_written) <= _BLOCK_LINES
 
 
 class TestParser:
