@@ -13,15 +13,17 @@ import json
 import os
 import sys
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .braid import BraidParseError, BraidWord, parse_braid, parse_family
 from .gauss import MultiComponentError, emit_gauss_code, gauss_from_closure
 from .invariants import bound_from_p, u_and_p
-from .search import (ScanRecord, ScanSummary, _scan_subsets, default_table_pairs,
-                     scan_torus_virtualizations, table_to_csv, table_vt2)
-from .unknotting import (NotAKnotError, VerifyRow, _verify_sequence,
-                         unknotting_sequence, verify_theorem2)
+
+# search and unknotting are imported by the commands that run them, so
+# that invariants, the one command that needs neither, never loads them.
+if TYPE_CHECKING:
+    from .search import ScanRecord
+    from .unknotting import VerifyRow
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,6 +127,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_unknot_seq(args: argparse.Namespace) -> int:
+    from .unknotting import _verify_sequence, unknotting_sequence
+
     sequence = unknotting_sequence(args.i, args.j, args.k)
     check = _verify_sequence(sequence) if args.verify else None
     if args.json:
@@ -144,12 +148,16 @@ def cmd_unknot_seq(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .search import default_table_pairs, table_to_csv, table_vt2
+
     rows = table_vt2(default_table_pairs(args.max_p))
     _emit(args.csv, (table_to_csv(rows),))
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .search import _scan_subsets, scan_torus_virtualizations
+
     # refuses what the scan refuses, before an output file is opened
     texts = _scan_subsets(args.p, args.q, args.limit, str)
     records = scan_torus_virtualizations(args.p, args.q, args.limit)
@@ -168,6 +176,8 @@ def _scan_lines(records: Iterable[ScanRecord], texts: Iterable[tuple[str, ...]],
     keyed by ``record[1:]``.  Per record what is left is a lookup, a count
     and one join of the subset's texts.
     """
+    from .search import ScanSummary
+
     classes: dict[tuple, list] = {}  # [head, tail, printed, first, count]
     join = ", ".join
     for record, text in zip(records, texts, strict=True):
@@ -233,6 +243,8 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .unknotting import verify_theorem2
+
     report = verify_theorem2(args.max_i)
     _emit(None, _json_rows(report.rows) if args.json else report._table_lines())
     if args.strict and not report.all_passed:
@@ -259,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MultiComponentError, NotAKnotError) as error:
+    except MultiComponentError as error:  # unknotting.NotAKnotError too
         print(f"error: {error}", file=sys.stderr)
         return 3
     except (BraidParseError, ValueError) as error:

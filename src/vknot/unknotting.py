@@ -58,14 +58,13 @@ _MOVES = {
 }
 
 
-class NotAKnotError(ValueError):
+class NotAKnotError(MultiComponentError):
     """The state closes to a link with more than one component."""
 
     def __init__(self, state: "IJKState", components: int):
-        super().__init__(
-            f"{state} closes to {components} link components, need exactly 1")
+        super().__init__(components)
+        self.args = (f"{state} closes to {components} link components, need exactly 1",)
         self.state = state
-        self.components = components
 
 
 class TerminalStateError(Exception):
@@ -246,12 +245,6 @@ class VerifyReport(NamedTuple):
     @property
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    def to_json_rows(self) -> list[dict]:
-        return [row.to_json_dict() for row in self.rows]
-
-    def format_table(self) -> str:
-        return "".join(self._table_lines())
 
     def _table_lines(self) -> Iterator[str]:
         """The table's lines, each ending in a newline: the header, one

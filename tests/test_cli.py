@@ -169,7 +169,7 @@ class TestUnknotSeq:
         def refuse(*args):
             raise error
 
-        monkeypatch.setattr("vknot.cli._verify_sequence", refuse)
+        monkeypatch.setattr("vknot.unknotting._verify_sequence", refuse)
         code, out, err = run(capsys, "unknot-seq", "3", "2", "0", "--verify")
         assert (code, out) == (3, "") and "components" in err
 
@@ -343,7 +343,7 @@ class TestScan:
                 lines_before.append(out.lines)
                 yield record
 
-        monkeypatch.setattr("vknot.cli.scan_torus_virtualizations", records)
+        monkeypatch.setattr("vknot.search.scan_torus_virtualizations", records)
         monkeypatch.setattr(sys, "stdout", out)
         limit = 3 * _BLOCK_LINES + 5
         assert main(["scan", "--p", "5", "--q", "3", "--limit", str(limit)]) == 0
@@ -388,7 +388,7 @@ class TestScan:
             yield from scan_torus_virtualizations(3, 2, 5)
             raise OSError("disk full")
 
-        monkeypatch.setattr("vknot.cli.scan_torus_virtualizations", records)
+        monkeypatch.setattr("vknot.search.scan_torus_virtualizations", records)
         code, out, err = run(capsys, "scan", "--p", "3", "--q", "2",
                              "--jsonl", str(target))
         assert code == 1 and out == "" and "disk full" in err
@@ -404,7 +404,7 @@ class TestScan:
             yield from scan_torus_virtualizations(3, 2, 5)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("vknot.cli.scan_torus_virtualizations", records)
+        monkeypatch.setattr("vknot.search.scan_torus_virtualizations", records)
         try:
             code, out, err = run(capsys, "scan", "--p", "3", "--q", "2",
                                  "--jsonl", str(target))
@@ -635,9 +635,10 @@ class TestVerify:
         assert main(argv + ["--json"] * as_json) == 0
         report = verify_theorem2(max_i)
         if as_json:
-            assert out.getvalue() == json.dumps(report.to_json_rows(), sort_keys=True) + "\n"
+            rows = [row.to_json_dict() for row in report.rows]
+            assert out.getvalue() == json.dumps(rows, sort_keys=True) + "\n"
         else:
-            assert out.getvalue() == report.format_table() and out.whole_lines
+            assert out.getvalue() == "".join(report._table_lines()) and out.whole_lines
         # "[" or the header, one chunk per row, then "]\n" or the count:
         # 498 chunks at i = 16 fit in one block, 594 at i = 17 do not
         chunks = len(report.rows) + 2
@@ -668,3 +669,75 @@ def test_link_exits_3_with_assertions_stripped():
     assert result.returncode == 3, result.stderr
     assert result.stdout == ""
     assert "2 components" in result.stderr
+
+
+# Runs ``python -m vknot.cli ARGV`` through runpy, then writes on stderr the
+# exit code and the layers whose code has run: a layer registered lazily
+# and not yet run is still of a ModuleType subclass.
+FOOTPRINT = """
+import runpy, sys, types
+sys.argv[0] = "vknot"
+try:
+    runpy.run_module("vknot.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit_:
+    code = exit_.code
+layers = ("braid", "gauss", "invariants", "search", "unknotting")
+print(code, *[layer for layer in layers
+              if type(sys.modules["vknot." + layer]) is types.ModuleType],
+      file=sys.stderr)
+"""
+CORE = ["braid", "gauss", "invariants"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+class TestStartUp:
+    """Each command runs only the layers it uses."""
+
+    @staticmethod
+    def footprint(*argv):
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", FOOTPRINT, *argv],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=60)
+        *errors, last = result.stderr.splitlines()
+        code, *layers = last.split()
+        return int(code), layers, result.stdout, errors
+
+    @pytest.mark.parametrize("argv,layers", [
+        (["invariants", "--braid", "1 1 1", "--strands", "2"], CORE),
+        (["scan", "--p", "2", "--q", "2"], CORE + ["search"]),
+        (["table", "vt2", "--max-p", "3"], CORE + ["search"]),
+        (["verify", "theorem2", "--max-i", "2"], CORE + ["unknotting"]),
+        (["unknot-seq", "3", "5", "0", "--verify"], CORE + ["unknotting"]),
+    ], ids=["invariants", "scan", "table", "verify", "unknot-seq"])
+    def test_a_command_runs_only_its_layers(self, capsys, argv, layers):
+        code, loaded, out, errors = self.footprint(*argv)
+        assert (code, errors) == (0, []) and loaded == layers
+        assert out == run(capsys, *argv)[1]
+
+    def test_a_link_runs_only_the_core_layers(self):
+        code, loaded, out, errors = self.footprint(
+            "invariants", "--braid", "1 1", "--strands", "2")
+        assert (code, loaded, out) == (3, CORE, "")
+        assert errors == ["error: closure has 2 components, need exactly 1"]
+
+    def test_a_link_state_exits_3_with_its_message(self):
+        code, loaded, out, errors = self.footprint("unknot-seq", "2", "2", "0")
+        assert (code, loaded, out) == (3, CORE + ["unknotting"], "")
+        assert errors == ["error: (2,2,0) closes to 2 link components, need exactly 1"]
+
+    def test_not_a_knot_is_a_multi_component_error(self):
+        error = NotAKnotError(IJKState(2, 2, 0), 2)
+        assert isinstance(error, MultiComponentError)
+        assert (error.state, error.components) == (IJKState(2, 2, 0), 2)
+        assert str(error) == "(2,2,0) closes to 2 link components, need exactly 1"
+
+    def test_importing_the_package_runs_no_layer(self):
+        result = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, types, vknot; print(sorted(name for name, module in "
+             "sys.modules.items() if name.startswith('vknot.') "
+             "and type(module) is types.ModuleType))"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+            timeout=60)
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr

@@ -1,6 +1,7 @@
 """Unknotting states, moves, sequences, and the verification sweep."""
 
 import inspect
+import json
 import random
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ from math import gcd
 import pytest
 
 from vknot.braid import _block_indices, _occupants, component_count, make_ijk, make_vt
+from vknot.cli import _json_rows
 from vknot.gauss import MultiComponentError, gauss_from_closure
 from vknot import gauss, unknotting
 from vknot.invariants import (IndexPolynomial, bound_from_p, p_invariant, u_and_p,
@@ -337,12 +339,12 @@ class TestVerify:
 
     def test_json_rows_shape(self):
         report = verify_theorem2(2)
-        data = report.to_json_rows()
+        data = json.loads("".join(_json_rows(report.rows)))
         assert all(set(row) == {"i", "j", "k", "lower", "upper", "formula",
                                 "pass"} for row in data)
 
     def test_table_rendering(self):
-        text = verify_theorem2(2).format_table()
+        text = "".join(verify_theorem2(2)._table_lines())
         assert text.splitlines()[0] == "i j k lower upper formula pass"
         assert text.strip().endswith("2/2 knots pass")
 

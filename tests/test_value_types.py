@@ -274,6 +274,7 @@ class TestScanSummary:
 
 # Every public name of the package, sorted; adding or removing one means
 # editing this list.
+LAYERS = [f"vknot.{layer}" for layer in ("braid", "gauss", "invariants", "search", "unknotting")]
 PUBLIC_NAMES = """
     BraidLetter BraidParseError BraidWord GaussCodeError GaussDiagram IJKState
     IndexPolynomial LetterKind MultiComponentError NotAKnotError Role ScanRecord
@@ -288,10 +289,14 @@ PUBLIC_NAMES = """
 
 
 def test_public_names_are_pinned():
-    names = sorted(name for name, value in vars(vknot).items()
-                   if not name.startswith("_")
-                   and not isinstance(value, types.ModuleType))
-    assert names == PUBLIC_NAMES
+    # the names resolve lazily, so they are pinned through __all__ and dir()
+    assert vknot.__all__ == PUBLIC_NAMES
+    assert [name for name in dir(vknot) if not name.startswith("_")
+            and not isinstance(getattr(vknot, name), types.ModuleType)] == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(vknot, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__ in LAYERS and getattr(home, name) is value
 
 
 def test_command_line_start_up_imports_no_dataclasses():
