@@ -29,10 +29,9 @@ only a global sign; negating the polynomial gives the mirror convention.
 from __future__ import annotations
 
 from itertools import accumulate
-from sys import byteorder
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
-from .braid import _Checked, _OnFirstUse
+from .braid import _Checked
 from .gauss import GaussDiagram, _OVER
 
 
@@ -145,68 +144,6 @@ def _u_and_p(values: Iterable[int],
             u[m] = u.get(m, 0) - sign
     return (IndexPolynomial.from_coefficients(u),
             IndexPolynomial.from_coefficients(p))
-
-
-def _invariants_without(diagram: GaussDiagram, subsets: Iterable[Sequence[int]]
-                        ) -> Iterator[tuple[Sequence[int],
-                                            tuple[IndexPolynomial, IndexPolynomial]]]:
-    """Each subset of chord ids paired with (u, P) of ``diagram`` without
-    those chords, equal to the invariants of ``remove_chords``'s diagram.
-
-    Removing chord d only removes its two endpoint weights, so every other
-    chord c's index drops by L[d][c], c's arc sum over d's two weights
-    alone.  Each index is a fixed-width field of one int, holding
-    2 * (index + bias) + [sign > 0].  Chord d's row, built when a subset
-    first uses d, is d's field mask shifted above all the fields, minus L[d]
-    packed the same way.  Adding a subset's rows to the base int leaves its
-    indices in the fields, none borrowing since each stays a valid index,
-    and the union of its own fields' masks above them, which resets those
-    fields to index 0.  Both polynomials depend only on the multiset of
-    fields, so the sorted fields are the memo key, decoded into (u, P) once
-    per key; every subset with that key gets the same (u, P) tuple, and
-    equal polynomials are kept as one object.
-    """
-    n = diagram.n_chords
-    bias = n  # indices lie in [-(n - 1), n - 1], so every field is positive
-    size, fmt = next((k, f) for k, f in ((1, "B"), (2, "H"), (4, "I"))
-                     if 2 * (n - 1 + bias) + 1 < 256 ** k)
-    width, length = 8 * size, n * size
-    shift = 8 * length  # the subset's masks sit above all the fields
-    over, under = diagram.chord_positions()
-    signs = diagram.signs
-
-    def pack(fields: Iterable[int]) -> int:
-        return int.from_bytes(b"".join(f.to_bytes(size, "little") for f in fields),
-                              "little")
-
-    base = pack(2 * (i + bias) + (s > 0) for i, s in zip(_arc_sums(diagram), signs))
-    zeros = pack(2 * bias + (s > 0) for s in signs)
-    twos = pack(2 for _ in signs)
-
-    def row(chord: int) -> int:
-        weights = [0] * (2 * n)
-        weights[over[chord]], weights[under[chord]] = signs[chord], -signs[chord]
-        fields = bytearray(length)  # 2 * L[chord][c] + 2 in each field's low byte
-        fields[::size] = bytes(2 * v + 2 for v in _arc_sums(diagram, weights))
-        mask = ((1 << width) - 1) << (width * chord)
-        return (mask << shift) + twos - int.from_bytes(fields, "little")
-
-    rows, low = _OnFirstUse(row), (1 << shift) - 1
-    memo: dict[tuple[int, ...], tuple[IndexPolynomial, IndexPolynomial]] = {}
-    polynomials: dict[IndexPolynomial, IndexPolynomial] = {}
-    for chords in subsets:
-        total = base + sum(map(rows.__getitem__, chords))
-        vector = total & low
-        vector ^= (vector ^ zeros) & (total >> shift)
-        data = vector.to_bytes(length, byteorder)  # cast reads native order
-        key = tuple(sorted(memoryview(data).cast(fmt) if size > 1 else data))
-        u_and_p = memo.get(key)
-        if u_and_p is None:
-            u_and_p = memo[key] = tuple(
-                polynomials.setdefault(value, value) for value in _u_and_p(
-                    ((field >> 1) - bias for field in key),
-                    (1 if field & 1 else -1 for field in key)))
-        yield chords, u_and_p
 
 
 def chord_index(diagram: GaussDiagram, chord: int) -> int:

@@ -11,13 +11,15 @@ doubly-virtualized family.
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain, combinations, islice, repeat
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from sys import byteorder
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .braid import BraidWord, _block_indices, _family_word, make_vt
-from .gauss import MultiComponentError, gauss_from_closure
-from .invariants import IndexPolynomial, _invariants_without, p_invariant
+from .gauss import GaussDiagram, MultiComponentError, gauss_from_closure
+from .invariants import IndexPolynomial, _arc_sums, _u_and_p, p_invariant
 
 # Without an explicit limit, refuse scans beyond this many crossing positions
 # (2^16 subsets enumerate in seconds; anything larger is an explicit opt-in).
@@ -81,29 +83,34 @@ def scan_torus_virtualizations(p: int, q: int,
 
     Virtual and classical letters permute the strands alike, so every
     subset closes like ``torus_word(p, q)``, and its diagram is that one
-    traced diagram with the subset's chords removed.  ``_invariants_without``
+    traced diagram with the subset's chords removed.  ``_records_without``
     gets each subset's (u, P) from that diagram's packed chord indices and
     the subset's packed linking rows, without building the smaller diagram,
     and every subset with the same sorted indices shares one (u, P).
     """
-    subsets = _scan_subsets(p, q, limit)
+    named = partial(_scan_subsets, p, q, limit)
+    subsets = named(int)  # refuses what the scan refuses, before the trace
     try:
-        base, components = gauss_from_closure(torus_word(p, q)), 1
+        base = gauss_from_closure(torus_word(p, q))
     except MultiComponentError as error:
-        base, components = None, error.components
-    pairs = (((subset, (None, None)) for subset in subsets) if base is None
-             else _invariants_without(base, subsets))
-    new = tuple.__new__
-    for subset, u_and_p in pairs:
-        yield new(ScanRecord, (subset, components) + u_and_p)
+        links, new = (error.components, None, None), tuple.__new__
+        for subset in subsets:
+            yield new(ScanRecord, (subset,) + links)
+        return
+    yield from _records_without(base, named)
 
 
-def _scan_subsets(p: int, q: int, limit: int | None, label: type = int) -> Iterator[tuple]:
+def _scan_subsets(p: int, q: int, limit: int | None,
+                  label: Callable[[int], object] = int) -> Iterator[tuple]:
     """The first ``limit`` subsets (all for None) of the (p-1)q crossing
     positions, by size, then lexicographically, each position given as
     ``label(position)``; raises ``ValueError`` where the scan refuses.  The
-    scan's chord ids and the CLI's position texts both come from here, so
-    they agree in order."""
+    scan's chord ids and packed rows and the CLI's position texts all come
+    from here, so they agree in order.
+
+    Up to ``limit`` = (p-1)q + 1 only the empty subset and the first
+    ``limit`` - 1 singletons come out, so only those positions are labelled.
+    """
     if not type(p) is type(q) is int:
         raise ValueError(f"p and q must be integers, got {(p, q)!r}")
     if limit is not None and type(limit) is not int:
@@ -116,8 +123,75 @@ def _scan_subsets(p: int, q: int, limit: int | None, label: type = int) -> Itera
     if limit is None and total > DEFAULT_SCAN_BITS:
         raise ValueError(f"{total} crossing positions means 2^{total} subsets; "
                          "pass an explicit limit to opt in")
+    reached = total if limit is None else min(total, max(limit - 1, 0))
     return islice(chain.from_iterable(map(
-        combinations, repeat(tuple(map(label, range(total)))), range(total + 1))), limit)
+        combinations, repeat(tuple(map(label, range(reached)))), range(total + 1))), limit)
+
+
+def _records_without(diagram: GaussDiagram,
+                     named: Callable[[Callable[[int], object]], Iterable[tuple]]
+                     ) -> Iterator[ScanRecord]:
+    """A knot record for each subset of chord ids ``named(int)`` gives, with
+    (u, P) of ``diagram`` without those chords, equal to the invariants of
+    ``remove_chords``'s diagram.
+
+    ``named(label)`` must give the same subsets, in the same order, with
+    each chord id c as ``label(c)``.
+
+    Removing chord d only removes its two endpoint weights, so every other
+    chord c's index drops by L[d][c], c's arc sum over d's two weights
+    alone.  Each index is a fixed-width field of one int, holding
+    2 * (index + bias) + [sign > 0].  Chord d's row is d's field mask
+    shifted above all the fields, minus L[d] packed the same way, and
+    ``named(row)`` builds it for every position its enumeration reaches.
+    Summing a subset's rows onto the base int, in C from the subsets of
+    rows, leaves its indices in the fields, none borrowing since each stays
+    a valid index, and the union of its own fields' masks above them, which
+    resets those fields to index 0.  Both polynomials depend only on the
+    multiset of fields, so the sorted fields are the memo key, decoded into
+    (u, P) once per key; every subset with that key gets the same (u, P)
+    tuple, and equal polynomials are kept as one object.
+    """
+    n = diagram.n_chords
+    bias = n  # indices lie in [-(n - 1), n - 1], so every field is positive
+    size, fmt = next((k, f) for k, f in ((1, "B"), (2, "H"), (4, "I"))
+                     if 2 * (n - 1 + bias) + 1 < 256 ** k)
+    width, length = 8 * size, n * size
+    shift = 8 * length  # the subset's masks sit above all the fields
+    over, under = diagram.chord_positions()
+    signs = diagram.signs
+
+    def pack(fields: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(f.to_bytes(size, "little") for f in fields),
+                              "little")
+
+    base = pack(2 * (i + bias) + (s > 0) for i, s in zip(_arc_sums(diagram), signs))
+    zeros = pack(2 * bias + (s > 0) for s in signs)
+    twos = pack(2 for _ in signs)
+
+    def row(chord: int) -> int:
+        weights = [0] * (2 * n)
+        weights[over[chord]], weights[under[chord]] = signs[chord], -signs[chord]
+        fields = bytearray(length)  # 2 * L[chord][c] + 2 in each field's low byte
+        fields[::size] = bytes(2 * v + 2 for v in _arc_sums(diagram, weights))
+        mask = ((1 << width) - 1) << (width * chord)
+        return (mask << shift) + twos - int.from_bytes(fields, "little")
+
+    low, new = (1 << shift) - 1, tuple.__new__
+    memo: dict[tuple[int, ...], tuple] = {}  # key -> (1, u, P)
+    polynomials: dict[IndexPolynomial, IndexPolynomial] = {}
+    for chords, total in zip(named(int), map(sum, named(row), repeat(base))):
+        vector = total & low
+        vector ^= (vector ^ zeros) & (total >> shift)
+        data = vector.to_bytes(length, byteorder)  # cast reads native order
+        key = tuple(sorted(memoryview(data).cast(fmt) if size > 1 else data))
+        tail = memo.get(key)
+        if tail is None:
+            tail = memo[key] = (1, *(
+                polynomials.setdefault(value, value) for value in _u_and_p(
+                    ((field >> 1) - bias for field in key),
+                    (1 if field & 1 else -1 for field in key))))
+        yield new(ScanRecord, (chords,) + tail)
 
 
 class ScanSummary:

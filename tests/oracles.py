@@ -7,9 +7,9 @@ as one walker making a full pass over the word per strand, arc membership
 as literal position sets, the cancelling-pair matcher as an
 all-pairings search, Gauss-code parsing as per-label role and sign sets,
 the unknotting moves as if-chains, the (i, j, k) knot states from the
-shape of their permutation, a torus knot's P as a closed-form sum, a scan
-subset's word letter by letter, and a scan summary folded one record at a
-time.
+shape of their permutation, a knot state's P summed along its move chain,
+a scan subset's word letter by letter, and a scan summary folded one record
+at a time.
 
 The braid rewrite table is here too, though it checks no package code:
 the invariance tests walk words through its closure-preserving moves.
@@ -74,14 +74,14 @@ def oracle_cycle_count(word: BraidWord) -> int:
     return cycles
 
 
-def oracle_knot_states(max_i: int):
-    """Every one-component (i, j, k) with 2 <= i <= max_i, 1 <= j <= i and
-    0 <= k < i, in parameter order, from the permutation's shape: j
-    ascending blocks take 0-based position p to p - j mod i, and the tail
-    s_k ... s_1 takes k to 0 and each p < k to p + 1.  One component means
-    the cycle through 0 has length i."""
+def oracle_knot_states(max_i: int, j_per_i: int = 1):
+    """Every one-component (i, j, k) with 2 <= i <= max_i,
+    1 <= j <= j_per_i * i and 0 <= k < i, in parameter order, from the
+    permutation's shape: j ascending blocks take 0-based position p to
+    p - j mod i, and the tail s_k ... s_1 takes k to 0 and each p < k to
+    p + 1.  One component means the cycle through 0 has length i."""
     for i in range(2, max_i + 1):
-        for j in range(1, i + 1):
+        for j in range(1, j_per_i * i + 1):
             for k in range(i):
                 image = [(p - j) % i for p in range(i)]
                 image = [0 if p == k else p + (p < k) for p in image]
@@ -90,16 +90,6 @@ def oracle_knot_states(max_i: int):
                     position, length = image[position], length + 1
                 if length == i:
                     yield (i, j, k)
-
-
-def oracle_torus_p(p: int, q: int) -> IndexPolynomial:
-    """P of the singly virtualized torus knot vt(p, q, 1) in closed form:
-    2 * sum over b = 1 ... q-1 of t + t^2 + ... + t^floor(bp/q)."""
-    coefficients = Counter()
-    for b in range(1, q):
-        for m in range(1, b * p // q + 1):
-            coefficients[m] += 2
-    return IndexPolynomial.from_coefficients(coefficients)
 
 
 def oracle_trace(word: BraidWord) -> list[tuple[int, str, int]]:
@@ -533,6 +523,24 @@ def oracle_first_move(i: int, j: int,
     if i == k + 1:
         return StepKind.C, (i, j - 1, 0), i - 1
     return StepKind.B, (i - 1, j - 1, j + k - i - 1), i - 1
+
+
+def oracle_chain_p(i: int, j: int, k: int) -> IndexPolynomial:
+    """P of the (i, j, k) knot state from its unknotting chain: P/2 adds
+    t + t^2 + ... + t^h for each step of height h.  A B or C move is one
+    step, its height its cost; an A move costs 0 and adds none; a Reduce on
+    i strands adds one step of each height h = 1 ... i-1, which sum to its
+    cost i(i-1)/2.  Each move is the first kind in ``StepKind`` order whose
+    ``oracle_move_rule`` applies: Reduce first, as ``oracle_first_move``
+    has it, and at most one of A, B and C applies to a knot state."""
+    half, state = Counter(), (i, j, k)
+    while state[1:] != (1, 0):
+        kind = next(kind for kind in StepKind if oracle_move_rule(kind, *state)[0])
+        _, target, cost = oracle_move_rule(kind, *state)
+        for height in range(1, state[0]) if kind is StepKind.REDUCE else (cost,):
+            half.update(range(1, height + 1))
+        state = target
+    return IndexPolynomial.from_coefficients({m: 2 * b for m, b in half.items()})
 
 
 @cache

@@ -572,7 +572,7 @@ class TestScanClasses:
                 return function(*args)
             return wrapper
 
-        monkeypatch.setattr("vknot.invariants._u_and_p", counted("decodes", _u_and_p))
+        monkeypatch.setattr("vknot.search._u_and_p", counted("decodes", _u_and_p))
         monkeypatch.setattr(ScanRecord, "json_parts",
                             counted("encodings", ScanRecord.json_parts))
         *_, summary = _scan_lines(*_with_texts(scan_torus_virtualizations(5, 4)), False)

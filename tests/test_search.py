@@ -12,10 +12,12 @@ from vknot.braid import make_vt
 from vknot.cli import _scan_lines
 from vknot.gauss import (GaussDiagram, MultiComponentError, Role, gauss_from_closure,
                          remove_chords)
-from vknot.invariants import (IndexPolynomial, _arc_sums, _endpoint_weights,
-                              _invariants_without, p_invariant, u_invariant)
+from vknot.invariants import (IndexPolynomial, _arc_sums, _endpoint_weights, p_invariant,
+                              u_invariant)
 from vknot.search import (
     ScanRecord,
+    _records_without,
+    _scan_subsets,
     default_table_pairs,
     scan_torus_virtualizations,
     table_to_csv,
@@ -31,6 +33,17 @@ TABLE_VALUES = {
     (7, 2): 0, (7, 3): 3, (7, 4): 6, (7, 5): 9, (7, 6): 12, (8, 3): 3,
     (8, 5): 9, (8, 7): 17,
 }
+
+
+def without(diagram, subsets):
+    """(subset, (u, P)) for each of ``subsets`` of chord ids, in the given
+    order, from the scan's loop: each subset named with chord c as
+    ``label(c)``, as the scan's enumeration names them."""
+    def named(label):
+        labels = list(map(label, range(diagram.n_chords)))
+        return [tuple(labels[c] for c in subset) for subset in subsets]
+
+    return [(record.subset, record[2:]) for record in _records_without(diagram, named)]
 
 
 class TestVirtualizeSubset:
@@ -160,7 +173,7 @@ class TestScan:
         subsets = [tuple(sorted(rng.sample(range(total), rng.randint(0, total))))
                    for _ in range(200)]
         base = gauss_from_closure(torus_word(p, q))
-        for subset, u_and_p in _invariants_without(base, subsets):
+        for subset, u_and_p in without(base, subsets):
             diagram = gauss_from_closure(oracle_subset_word(p, q, subset))
             assert u_and_p == (u_invariant(diagram), p_invariant(diagram))
 
@@ -181,6 +194,35 @@ class TestScan:
             "subsets": 16, "knots": 16, "nonzero_u": 0,
             "pattern_attained": False, "first_nonzero_u": None,
         }
+
+
+class TestScanSubsets:
+    """The one enumeration behind the scan's chord ids and packed rows and
+    the CLI's position texts."""
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (3, 3), (4, 3)])
+    def test_every_label_gives_the_order_of_plain_combinations(self, p, q):
+        total = (p - 1) * q
+        for limit in [*range(total + 3), None]:
+            expected = list(itertools.islice(itertools.chain.from_iterable(
+                itertools.combinations(range(total), size)
+                for size in range(total + 1)), limit))
+            assert list(_scan_subsets(p, q, limit)) == expected
+            assert list(_scan_subsets(p, q, limit, str)) == [
+                tuple(map(str, subset)) for subset in expected]
+            assert list(_scan_subsets(p, q, limit, lambda c: ("row", c))) == [
+                tuple(("row", c) for c in subset) for subset in expected]
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (3, 3), (4, 3), (101, 100)])
+    def test_a_limited_scan_labels_only_the_positions_it_reaches(self, p, q):
+        # up to limit = total, the subsets are () and the first limit - 1
+        # singletons, so a label that builds a row builds only those rows
+        total = (p - 1) * q
+        for limit in sorted({*range(min(total, 12) + 1), total}):
+            labelled = []
+            subsets = list(_scan_subsets(p, q, limit, labelled.append))
+            assert len(subsets) == limit
+            assert len(labelled) <= max(limit - 1, 0)
 
 
 class TestScanRecord:
@@ -249,7 +291,7 @@ class TestChordDeletion:
         chords = range(diagram.n_chords)
         subsets = [subset for size in range(diagram.n_chords + 1)
                    for subset in itertools.combinations(chords, size)]
-        pairs = list(_invariants_without(diagram, subsets))
+        pairs = list(without(diagram, subsets))
         assert [subset for subset, _ in pairs] == subsets
         for subset, u_and_p in pairs:
             smaller = remove_chords(diagram, subset)
@@ -278,7 +320,7 @@ class TestChordDeletion:
             diagram = GaussDiagram(tuple(endpoints), tuple(signs))
             if signs[1:] == [signs[0]] * (n - 1):
                 assert abs(_arc_sums(diagram)[0]) == n - 1
-            for subset, u_and_p in _invariants_without(diagram, subsets):
+            for subset, u_and_p in without(diagram, subsets):
                 smaller = remove_chords(diagram, subset)
                 assert u_and_p == (u_invariant(smaller), p_invariant(smaller))
 

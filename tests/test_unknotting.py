@@ -31,8 +31,8 @@ from vknot.unknotting import (
     verify_theorem2,
 )
 
-from oracles import (oracle_cycle_count, oracle_first_move, oracle_knot_states,
-                     oracle_move_rule, oracle_torus_p, oracle_verify_row,
+from oracles import (oracle_chain_p, oracle_cycle_count, oracle_first_move,
+                     oracle_knot_states, oracle_move_rule, oracle_verify_row,
                      replay_sequence)
 
 # Every state with i <= 10, 1 <= j <= 3i and 0 <= k < i: knots, links,
@@ -635,9 +635,11 @@ class TestTorusKnots:
 
     def test_traced_p_is_the_closed_form_and_u_vanishes(self):
         assert len(self.PAIRS) == 900
+        # the (p, q, 0) chain's steps have heights floor(bp/q), b < q, so
+        # its P is 2 * sum over b of t + ... + t^floor(bp/q)
         for p, q in self.PAIRS:
             u, traced = u_and_p(gauss_from_closure(make_vt(p, q, 1)))
-            assert traced == oracle_torus_p(p, q)
+            assert traced == oracle_chain_p(p, q, 0)
             assert u.is_zero
 
     def test_the_floor_sum_is_half_the_crossings(self):
@@ -653,3 +655,21 @@ class TestTorusKnots:
             assert row.lower == row.upper == row.formula == (p - 1) * (q - 1) // 2
             kinds = [step.kind for step in unknotting_sequence(p, q, 0).steps]
             assert (StepKind.REDUCE in kinds) == (q > p)
+
+
+class TestChainP:
+    """P/2 of every knot state is one run t + ... + t^h per step of its
+    unknotting chain, h the step's height."""
+
+    def test_the_chain_gives_the_traced_p_up_to_i_24(self):
+        states = list(oracle_knot_states(24))
+        assert len(states) == 1584
+        for state in states:
+            assert p_invariant(gauss_from_closure(make_ijk(*state))) == oracle_chain_p(*state)
+
+    def test_the_chain_gives_the_traced_p_through_reduce(self):
+        # j up to 3i: full twists, each taken off by one Reduce
+        states = list(oracle_knot_states(14, j_per_i=3))
+        assert sum(j > i for i, j, _ in states) == 688
+        for state in states:
+            assert p_invariant(gauss_from_closure(make_ijk(*state))) == oracle_chain_p(*state)
