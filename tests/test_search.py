@@ -207,11 +207,19 @@ class TestScanSubsets:
             expected = list(itertools.islice(itertools.chain.from_iterable(
                 itertools.combinations(range(total), size)
                 for size in range(total + 1)), limit))
+            labelled = []
+
+            def recording(position):
+                labelled.append(position)
+                return ("row", position)
+
             assert list(_scan_subsets(p, q, limit)) == expected
             assert list(_scan_subsets(p, q, limit, str)) == [
                 tuple(map(str, subset)) for subset in expected]
-            assert list(_scan_subsets(p, q, limit, lambda c: ("row", c))) == [
+            assert list(_scan_subsets(p, q, limit, recording)) == [
                 tuple(("row", c) for c in subset) for subset in expected]
+            # each position is labelled once, however many subsets hold it
+            assert labelled == list(range(len(labelled)))
 
     @pytest.mark.parametrize("p,q", [(3, 2), (3, 3), (4, 3), (101, 100)])
     def test_a_limited_scan_labels_only_the_positions_it_reaches(self, p, q):
@@ -291,7 +299,7 @@ class TestChordDeletion:
         chords = range(diagram.n_chords)
         subsets = [subset for size in range(diagram.n_chords + 1)
                    for subset in itertools.combinations(chords, size)]
-        pairs = list(without(diagram, subsets))
+        pairs = without(diagram, subsets)
         assert [subset for subset, _ in pairs] == subsets
         for subset, u_and_p in pairs:
             smaller = remove_chords(diagram, subset)
