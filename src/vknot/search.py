@@ -28,6 +28,9 @@ DEFAULT_SCAN_BITS = 16
 # Absolute-coefficient pattern highlighted in scan summaries: +-(t^2 - 2t).
 REPORTED_U_PATTERN = {2: 1, 1: 2}
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def torus_word(p: int, q: int) -> BraidWord:
     """(s_1 ... s_{p-1})^q on p strands, all crossings positive."""
     if not type(p) is type(q) is int:
@@ -67,8 +70,10 @@ class ScanRecord(NamedTuple):
     def json_parts(self) -> tuple[str, str]:
         """The record's line, ``json.dumps(self.to_json_dict(), sort_keys=True)``
         plus a newline, split around the subset's positions: the same two
-        parts for every record of one (components, u, P)."""
-        text = json.dumps({**self.to_json_dict(), "subset": []}, sort_keys=True)
+        parts for every record of one (components, u, P).  One encoder
+        serves every record; ``json.dumps`` with ``sort_keys`` would build a
+        new one per call."""
+        text = _encode({**self.to_json_dict(), "subset": []})
         head, subset, tail = text.partition('"subset": [')
         return head + subset, tail + "\n"
 
@@ -141,14 +146,19 @@ def _records_without(diagram: GaussDiagram,
     Removing chord d only removes its two endpoint weights, so every other
     chord c's index drops by L[d][c], c's arc sum over d's two weights
     alone.  Each index is a fixed-width field of one int, holding
-    2 * (index + bias) + [sign > 0].  Chord d's row is d's field mask
-    shifted above all the fields, minus L[d] packed the same way, and
+    2 * (index + bias) + [sign > 0].  Chord d's row is minus L[d] packed
+    the same way, minus d's field mask shifted above all the fields, and
     ``named(row)`` builds it for every position its enumeration reaches.
     Summing a subset's rows onto the base int, in C from the subsets of
     rows, leaves its indices in the fields, none borrowing since each stays
-    a valid index, and the union of its own fields' masks above them, which
-    resets those fields to index 0.  Both polynomials depend only on the
-    multiset of fields, so the sorted fields are the memo key, decoded into
+    a valid index.  Above them the base holds every field's mask, so the
+    sum's high part keeps only the kept chords' masks, and one AND of the
+    sum with itself shifted down resets every removed chord's field to 0,
+    which no index takes.  Both polynomials depend only on the multiset of
+    nonzero indices with their signs, so with one-byte fields the bytes of
+    removed chords (0) and of index 0 (2 * bias and 2 * bias + 1) are
+    deleted before the sort; wider fields are sorted whole and their zeros
+    skipped when decoded.  The sorted fields are the memo key, decoded into
     (u, P) once per key; every subset with that key gets the same (u, P)
     tuple, and equal polynomials are kept as one object.
     """
@@ -166,8 +176,9 @@ def _records_without(diagram: GaussDiagram,
                               "little")
 
     base = pack(2 * (i + bias) + (s > 0) for i, s in zip(_arc_sums(diagram), signs))
-    zeros = pack(2 * bias + (s > 0) for s in signs)
+    base += ((1 << shift) - 1) << shift  # every chord's mask, until a row takes it off
     twos = pack(2 for _ in signs)
+    drop = bytes((0, 2 * bias, 2 * bias + 1)) if size == 1 else b""
 
     def row(chord: int) -> int:
         weights = [0] * (2 * n)
@@ -175,22 +186,22 @@ def _records_without(diagram: GaussDiagram,
         fields = bytearray(length)  # 2 * L[chord][c] + 2 in each field's low byte
         fields[::size] = bytes(2 * v + 2 for v in _arc_sums(diagram, weights))
         mask = ((1 << width) - 1) << (width * chord)
-        return (mask << shift) + twos - int.from_bytes(fields, "little")
+        return twos - int.from_bytes(fields, "little") - (mask << shift)
 
-    low, new = (1 << shift) - 1, tuple.__new__
+    new = tuple.__new__
     memo: dict[tuple[int, ...], tuple] = {}  # key -> (1, u, P)
     polynomials: dict[IndexPolynomial, IndexPolynomial] = {}
     for chords, total in zip(named(int), map(sum, named(row), repeat(base))):
-        vector = total & low
-        vector ^= (vector ^ zeros) & (total >> shift)
-        data = vector.to_bytes(length, byteorder)  # cast reads native order
+        # cast reads native order
+        data = (total & total >> shift).to_bytes(length, byteorder).translate(None, drop)
         key = tuple(sorted(memoryview(data).cast(fmt) if size > 1 else data))
         tail = memo.get(key)
         if tail is None:
+            fields = [field for field in key if field]
             tail = memo[key] = (1, *(
                 polynomials.setdefault(value, value) for value in _u_and_p(
-                    ((field >> 1) - bias for field in key),
-                    (1 if field & 1 else -1 for field in key))))
+                    ((field >> 1) - bias for field in fields),
+                    (1 if field & 1 else -1 for field in fields))))
         yield new(ScanRecord, (chords,) + tail)
 
 

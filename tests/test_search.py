@@ -12,8 +12,8 @@ from vknot.braid import make_vt
 from vknot.cli import _scan_lines
 from vknot.gauss import (GaussDiagram, MultiComponentError, Role, gauss_from_closure,
                          remove_chords)
-from vknot.invariants import (IndexPolynomial, _arc_sums, _endpoint_weights, p_invariant,
-                              u_invariant)
+from vknot.invariants import (IndexPolynomial, _arc_sums, _endpoint_weights, _u_and_p,
+                              p_invariant, u_invariant)
 from vknot.search import (
     ScanRecord,
     _records_without,
@@ -331,6 +331,52 @@ class TestChordDeletion:
             for subset, u_and_p in without(diagram, subsets):
                 smaller = remove_chords(diagram, subset)
                 assert u_and_p == (u_invariant(smaller), p_invariant(smaller))
+
+    @pytest.mark.parametrize("n, seed", [(8, 0), (9, 4), (10, 2), (64, None), (65, None)])
+    def test_each_key_is_decoded_once_without_removed_chords(self, monkeypatch, n, seed):
+        # removed chords and chords of index 0 add nothing to u or P.  With
+        # one-byte fields (n <= 64) neither enters the memo key, so each
+        # decode reads the nonzero (index, sign) pairs of one multiset of
+        # them, once; two-byte fields (n = 65) keep index 0 in the key and
+        # skip only the removed chords.  The random diagrams are scanned
+        # over every subset, the edge diagrams of the field-width test,
+        # with alternating signs, over the subsets of up to two chords and
+        # their complements
+        if seed is None:
+            endpoints = ([(c, Role.OVER) for c in range(n)]
+                         + [(c, Role.UNDER) for c in range(n)])
+            diagram = GaussDiagram(tuple(endpoints), tuple((-1) ** c for c in range(n)))
+            chords = range(n)
+            subsets = [subset for size in (0, 1, 2)
+                       for subset in itertools.combinations(chords, size)]
+            subsets += [tuple(c for c in chords if c not in subset) for subset in subsets]
+        else:
+            rng = random.Random(seed)
+            endpoints = [(c, role) for c in range(n) for role in Role]
+            rng.shuffle(endpoints)
+            diagram = GaussDiagram(tuple(endpoints),
+                                   tuple(rng.choice((1, -1)) for _ in range(n)))
+            subsets = [subset for size in range(n + 1)
+                       for subset in itertools.combinations(range(n), size)]
+        assert {*diagram.signs} == {1, -1}
+        decoded = []
+
+        def recording(values, signs):
+            pairs = sorted(zip(values, signs))
+            decoded.append(tuple(pairs))
+            return _u_and_p([value for value, _ in pairs], [sign for _, sign in pairs])
+
+        monkeypatch.setattr("vknot.search._u_and_p", recording)
+        keys, reached_zero = set(), False
+        for subset, u_and_p in without(diagram, subsets):
+            smaller = remove_chords(diagram, subset)
+            assert u_and_p == (u_invariant(smaller), p_invariant(smaller))
+            pairs = sorted(zip(_arc_sums(smaller), smaller.signs))
+            keys.add(tuple(pair for pair in pairs if pair[0] or n > 64))
+            reached_zero = reached_zero or (0, 1) in pairs or (0, -1) in pairs
+        assert reached_zero
+        assert len(decoded) == len(keys)
+        assert set(decoded) == keys
 
 
 class TestTable:
