@@ -125,9 +125,10 @@ def _arc_sums(diagram: GaussDiagram,
     return [prefix[u] - prefix[o + 1] for o, u in zip(over, under)]
 
 
-def _u_and_p(values: Iterable[int],
-             signs: Iterable[int]) -> tuple[IndexPolynomial, IndexPolynomial]:
-    """(u, P) from the chords' arc sums i(c) and signs, in one loop.
+def _coefficients(values: Iterable[int],
+                  signs: Iterable[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """u's and P's coefficients by exponent, from the chords' arc sums i(c)
+    and signs, in one loop; a coefficient that cancels stays as 0.
 
     P adds sign(c) * t^|i(c)| and u adds sign(n(c)) * t^|n(c)| with
     n(c) = sign(c) * i(c), so both take the exponent |i(c)| and skip i(c) = 0.
@@ -142,8 +143,20 @@ def _u_and_p(values: Iterable[int],
             m = -value
             p[m] = p.get(m, 0) + sign
             u[m] = u.get(m, 0) - sign
+    return u, p
+
+
+def _u_and_p(values: Iterable[int],
+             signs: Iterable[int]) -> tuple[IndexPolynomial, IndexPolynomial]:
+    """(u, P) from the chords' arc sums i(c) and signs, by ``_coefficients``."""
+    u, p = _coefficients(values, signs)
     return (IndexPolynomial.from_coefficients(u),
             IndexPolynomial.from_coefficients(p))
+
+
+def _bound(coefficients: Iterable[int]) -> int:
+    """Ceiling of half the absolute sum of P's ``coefficients``."""
+    return (sum(map(abs, coefficients)) + 1) // 2
 
 
 def chord_index(diagram: GaussDiagram, chord: int) -> int:
@@ -171,7 +184,7 @@ def p_invariant(diagram: GaussDiagram) -> IndexPolynomial:
 
 def bound_from_p(p: IndexPolynomial) -> int:
     """Ceiling of half the absolute coefficient sum of a p-invariant."""
-    return (p.abs_coefficient_sum() + 1) // 2
+    return _bound(b for _, b in p.terms)
 
 
 def vu_lower_bound(diagram: GaussDiagram) -> int:

@@ -11,6 +11,7 @@ doubly-virtualized family.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from functools import partial
 from itertools import chain, combinations, islice, repeat
 from math import gcd
@@ -155,10 +156,11 @@ def _records_without(diagram: GaussDiagram,
     sum's high part keeps only the kept chords' masks, and one AND of the
     sum with itself shifted down resets every removed chord's field to 0,
     which no index takes.  Both polynomials depend only on the multiset of
-    nonzero indices with their signs, so with one-byte fields the bytes of
-    removed chords (0) and of index 0 (2 * bias and 2 * bias + 1) are
-    deleted before the sort; wider fields are sorted whole and their zeros
-    skipped when decoded.  The sorted fields are the memo key, decoded into
+    nonzero indices with their signs, so the fields of removed chords (0)
+    and of index 0 (2 * bias and 2 * bias + 1) leave the key: one-byte
+    fields lose those bytes before the sort; wider fields are sorted, then
+    lose the first len(subset), the zeros, and the index-0 run found by
+    bisection.  The sorted fields left are the memo key, decoded into
     (u, P) once per key; every subset with that key gets the same (u, P)
     tuple, and equal polynomials are kept as one object.
     """
@@ -192,16 +194,19 @@ def _records_without(diagram: GaussDiagram,
     memo: dict[tuple[int, ...], tuple] = {}  # key -> (1, u, P)
     polynomials: dict[IndexPolynomial, IndexPolynomial] = {}
     for chords, total in zip(named(int), map(sum, named(row), repeat(base))):
-        # cast reads native order
-        data = (total & total >> shift).to_bytes(length, byteorder).translate(None, drop)
-        key = tuple(sorted(memoryview(data).cast(fmt) if size > 1 else data))
+        data = (total & total >> shift).to_bytes(length, byteorder)
+        if size == 1:
+            key = tuple(sorted(data.translate(None, drop)))
+        else:  # cast reads native order; the removed chords' zeros sort first
+            fields = sorted(memoryview(data).cast(fmt))[len(chords):]
+            key = tuple(fields[:bisect_left(fields, 2 * bias)]
+                        + fields[bisect_left(fields, 2 * bias + 2):])
         tail = memo.get(key)
         if tail is None:
-            fields = [field for field in key if field]
             tail = memo[key] = (1, *(
                 polynomials.setdefault(value, value) for value in _u_and_p(
-                    ((field >> 1) - bias for field in fields),
-                    (1 if field & 1 else -1 for field in fields))))
+                    ((field >> 1) - bias for field in key),
+                    (1 if field & 1 else -1 for field in key))))
         yield new(ScanRecord, (chords,) + tail)
 
 

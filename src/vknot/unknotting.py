@@ -24,11 +24,10 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .braid import (BraidWord, _Checked, _cycles, _occupants, component_count,
-                    make_ijk)
+from .braid import BraidWord, _Checked, _cycles, component_count, make_ijk
 from .gauss import (GaussDiagram, MultiComponentError, _splice, _sweep,
                     gauss_from_closure)
-from .invariants import bound_from_p, u_and_p
+from .invariants import _arc_sums, _bound, _coefficients
 
 
 class StepKind(Enum):
@@ -270,7 +269,10 @@ def _fold(state: IJKState, step: UnknottingStep | None, trace: Callable[[], Gaus
     on record for the state the move reaches, which must already be in
     ``records``.  Each total must be half the state's crossing count, as
     for an UnknottingSequence.  The complaint is the state's own, a link or a
-    nonzero u read from its diagram ``trace()``, or else the next state's.
+    nonzero u, or else the next state's.  The state's u and P are read as
+    coefficients from one arc-sum pass over its diagram ``trace()``: a
+    nonzero u coefficient is its complaint and the bound is ``bound_from_p``'s
+    on P's; no polynomial is built.
     """
     total, complaint = 0, ""
     if step is not None:
@@ -278,10 +280,11 @@ def _fold(state: IJKState, step: UnknottingStep | None, trace: Callable[[], Gaus
         total += step.changes
     _check_total(state, total)
     try:
-        u, p = u_and_p(trace())
-        if not u.is_zero:
+        diagram = trace()
+        u, p = _coefficients(_arc_sums(diagram), diagram.signs)
+        if any(u.values()):
             complaint = f"intermediate {state} has nonzero u"
-        lower = bound_from_p(p)
+        lower = _bound(p.values())
     except MultiComponentError as error:
         complaint = f"intermediate {state} has {error.components} components"
         lower = None
@@ -354,7 +357,9 @@ def verify_theorem2(max_i: int) -> VerifyReport:
         for j in range(1, i + 1):
             _sweep(blocks[(j - 1) * (i - 1):j * (i - 1)], visits, occupant, signs)
             for k in range(i):
-                cycle, *others = _cycles(_occupants(i, range(k, 0, -1), occupant))
+                # the tail s_k ... s_1 moves position k's strand to 0
+                cycle, *others = _cycles(
+                    occupant[k:k + 1] + occupant[:k] + occupant[k + 1:])
                 if others:
                     continue
                 row_visits, row_signs = [strand.copy() for strand in visits], signs.copy()

@@ -334,14 +334,13 @@ class TestChordDeletion:
 
     @pytest.mark.parametrize("n, seed", [(8, 0), (9, 4), (10, 2), (64, None), (65, None)])
     def test_each_key_is_decoded_once_without_removed_chords(self, monkeypatch, n, seed):
-        # removed chords and chords of index 0 add nothing to u or P.  With
-        # one-byte fields (n <= 64) neither enters the memo key, so each
-        # decode reads the nonzero (index, sign) pairs of one multiset of
-        # them, once; two-byte fields (n = 65) keep index 0 in the key and
-        # skip only the removed chords.  The random diagrams are scanned
-        # over every subset, the edge diagrams of the field-width test,
-        # with alternating signs, over the subsets of up to two chords and
-        # their complements
+        # removed chords and chords of index 0 add nothing to u or P, and
+        # at every field width (one byte to n = 64, two at n = 65) neither
+        # enters the memo key, so each decode reads the nonzero (index,
+        # sign) pairs of one multiset of them, once.  The random diagrams
+        # are scanned over every subset, the edge diagrams of the
+        # field-width test, with alternating signs, over the subsets of up
+        # to two chords and their complements
         if seed is None:
             endpoints = ([(c, Role.OVER) for c in range(n)]
                          + [(c, Role.UNDER) for c in range(n)])
@@ -372,7 +371,7 @@ class TestChordDeletion:
             smaller = remove_chords(diagram, subset)
             assert u_and_p == (u_invariant(smaller), p_invariant(smaller))
             pairs = sorted(zip(_arc_sums(smaller), smaller.signs))
-            keys.add(tuple(pair for pair in pairs if pair[0] or n > 64))
+            keys.add(tuple(pair for pair in pairs if pair[0]))
             reached_zero = reached_zero or (0, 1) in pairs or (0, -1) in pairs
         assert reached_zero
         assert len(decoded) == len(keys)

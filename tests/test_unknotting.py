@@ -5,16 +5,16 @@ import json
 import random
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
 
 from vknot.braid import _block_indices, _occupants, component_count, make_ijk, make_vt
-from vknot.cli import _json_rows
+from vknot.cli import _json_rows, main
 from vknot.gauss import MultiComponentError, gauss_from_closure
 from vknot import gauss, unknotting
-from vknot.invariants import (IndexPolynomial, bound_from_p, p_invariant, u_and_p,
+from vknot.invariants import (_arc_sums, bound_from_p, p_invariant, u_and_p,
                               u_invariant)
 from vknot.unknotting import (
     IJKState,
@@ -32,8 +32,8 @@ from vknot.unknotting import (
 )
 
 from oracles import (oracle_chain_p, oracle_cycle_count, oracle_first_move,
-                     oracle_knot_states, oracle_move_rule, oracle_verify_row,
-                     replay_sequence)
+                     oracle_knot_states, oracle_move_rule, oracle_subset_word,
+                     oracle_verify_row, replay_sequence)
 
 # Every state with i <= 10, 1 <= j <= 3i and 0 <= k < i: knots, links,
 # terminal states and repeated full twists.
@@ -454,15 +454,17 @@ class TestFirstStepCache:
     def flag(self, monkeypatch):
         """Give the diagrams of the states passed to it a nonzero u."""
         def flag(*states):
-            flagged = [gauss_from_closure(make_ijk(*state)) for state in states]
-            real = unknotting.u_and_p
+            # the fold reads u's coefficients from the diagram's arc sums
+            # and signs, which tell these states' diagrams apart
+            flagged = [(_arc_sums(diagram), diagram.signs) for diagram in (
+                gauss_from_closure(make_ijk(*state)) for state in states)]
+            real = unknotting._coefficients
 
-            def u_and_p(diagram):
-                u, p = real(diagram)
-                return (IndexPolynomial.from_coefficients({1: 1})
-                        if diagram in flagged else u), p
+            def coefficients(values, signs):
+                u, p = real(values, signs)
+                return ({1: 1} if (values, signs) in flagged else u), p
 
-            monkeypatch.setattr(unknotting, "u_and_p", u_and_p)
+            monkeypatch.setattr(unknotting, "_coefficients", coefficients)
         return flag
 
     @staticmethod
@@ -582,6 +584,52 @@ class TestOneTracePerState:
             verify_row(*triple)
 
 
+class TestFoldVerdict:
+    """_fold's bound and u verdict, read from coefficients, are those of
+    the diagram's polynomials."""
+
+    @pytest.fixture
+    def folded(self, monkeypatch):
+        """(diagram, record) for each state _fold folds."""
+        pairs = []
+        real = unknotting._fold
+
+        def fold(state, step, trace, records):
+            diagram = trace()
+            record = real(state, step, lambda: diagram, records)
+            pairs.append((diagram, record))
+            return record
+
+        monkeypatch.setattr(unknotting, "_fold", fold)
+        return pairs
+
+    def test_every_row_diagram_and_the_reduce_chain_of_unknot_seq(self, folded, capsys):
+        report = verify_theorem2(12)
+        sequence = unknotting_sequence(7, 9, 4)
+        assert StepKind.REDUCE in {step.kind for step in sequence.steps}
+        assert main(["unknot-seq", "7", "9", "4", "--verify"]) == 0
+        assert capsys.readouterr().out.endswith("verify: ok\n")
+        assert len(folded) == len(report.rows) + len(sequence.states()) == 226
+        for diagram, (_, complaint, lower) in folded:
+            assert lower == bound_from_p(p_invariant(diagram))
+            assert complaint == "" and u_invariant(diagram).is_zero
+
+    def test_a_nonzero_u_is_the_states_complaint(self):
+        # the (5,4) torus braid with up to three letters virtual: every
+        # closure is a knot, and some have a nonzero u
+        state = IJKState(2, 1, 0)
+        verdicts = Counter()
+        for size in range(4):
+            for subset in combinations(range(16), size):
+                diagram = gauss_from_closure(oracle_subset_word(5, 4, subset))
+                _, complaint, lower = _fold(state, None, lambda: diagram, {})
+                zero = u_invariant(diagram).is_zero
+                assert lower == bound_from_p(p_invariant(diagram))
+                assert complaint == ("" if zero else "intermediate (2,1,0) has nonzero u")
+                verdicts[zero] += 1
+        assert verdicts[True] and verdicts[False]
+
+
 class TestSharedSweep:
     """verify_theorem2 sweeps each i's blocks once and each row's tail once."""
 
@@ -612,15 +660,24 @@ class TestSharedSweep:
         assert sum(row.k for row in report.rows) == 2782
         assert len(letters) == 4142
 
-    @pytest.mark.parametrize("strands", range(2, 7))
+    @pytest.mark.parametrize("strands", range(2, 17))
     def test_the_tail_rotation_equals_the_tail_letter_swaps(self, strands):
-        # verify's knot-state filter swaps the tail s_k ... s_1 onto the
-        # blocks' occupants: the strand at position k moves to position 0
-        # and positions 0 ... k-1 shift up by one
-        for occupant in map(list, permutations(range(strands))):
+        # verify's knot-state filter reads the tail s_k ... s_1 on the
+        # blocks' occupants as one rotation: the strand at position k moves
+        # to position 0 and positions 0 ... k-1 shift up by one.  Checked
+        # on every occupant order up to 6 strands, and above that on the
+        # occupants after each j <= i blocks and on seeded shuffles
+        if strands <= 6:
+            starts = list(map(list, permutations(range(strands))))
+        else:
+            rng = random.Random(strands)
+            starts = [_occupants(strands, _block_indices(strands, j, 0))
+                      for j in range(1, strands + 1)]
+            starts += [rng.sample(range(strands), strands) for _ in range(20)]
+        for occupant in starts:
             before = occupant.copy()
             for k in range(strands):
-                rotated = [occupant[k], *occupant[:k], *occupant[k + 1:]]
+                rotated = occupant[k:k + 1] + occupant[:k] + occupant[k + 1:]
                 assert _occupants(strands, range(k, 0, -1), occupant) == rotated
                 assert _occupants(strands, _block_indices(strands, 0, k),
                                   occupant) == rotated
