@@ -15,6 +15,7 @@ from vknot.gauss import (
 )
 from vknot.invariants import (
     IndexPolynomial,
+    bound_from_p,
     chord_index,
     p_invariant,
     u_and_p,
@@ -144,6 +145,9 @@ class TestLowerBound:
         diagram = gauss_from_closure(parse_braid("1 1 v1", 2))
         assert p_invariant(diagram).abs_coefficient_sum() == 2
         assert vu_lower_bound(diagram) == 1
+        # an odd absolute coefficient sum rounds up
+        assert [bound_from_p(IndexPolynomial(terms)) for terms in (
+            ((1, 1),), ((2, -3), (1, 2)), ((3, 2), (1, -2)))] == [1, 3, 2]
 
 
 def crossing_indices(diagram):
